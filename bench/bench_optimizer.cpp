@@ -1,24 +1,22 @@
-// Optimizer sweep kernel trajectory, three tiers over the same search:
+// Optimizer sweep kernel trajectory, two tiers over the same search:
 //
-//   cached  — the PR-1 baseline: per-(system, level-subset) DauweKernel
-//             behind a per-subset cost std::function, the full Eqns. 4-14
-//             recursion per enumerated plan.
-//   staged  — the PR-3 prefix-incremental cursor (lane_batch and prune
-//             off): a leaf only pays for the top stage and the scratch
-//             wrap. Structurally identical search, exact-equal results
-//             including the evaluation count.
-//   pruned  — the lane-batched sweep with admissible subtree pruning
-//             (8 tau0 lanes per task + the Benoit-style lower bound
-//             against a per-subset incumbent). Same winner bit for bit;
-//             far fewer evaluated leaves. The sweep itself is not
-//             bit-identical, so the check here is winner equality plus
-//             the lattice accounting identity
+//   cached  — the baseline: the per-plan optimize_intervals over a
+//             bench-local model adapter that evaluates each enumerated
+//             plan through EvaluationEngine::expected_time, i.e. the
+//             cached per-(system, level-subset) DauweKernel running the
+//             full Eqns. 4-14 recursion per plan.
+//   pruned  — the staged search (EvaluationEngine::optimize): the
+//             prefix-incremental kernel cursor, 8 tau0 lanes per task, and
+//             the Benoit-style admissible lower bound against a per-subset
+//             incumbent. Same winner bit for bit; far fewer evaluated
+//             leaves. The sweep itself is not bit-identical, so the check
+//             here is winner equality plus the lattice accounting identity
 //             coarse_evaluations + pruned_feasibility + pruned_bound
 //             == tau_points x ladder^dims summed over level subsets,
-//             which must agree with the unpruned tiers' lattice.
+//             which both tiers must tile exactly.
 //
 // Writes BENCH_optimizer.json (deterministic key order via util::Json) so
-// the speedups and the bit_identical flag are tracked artifacts. --smoke
+// the speedup and the bit_identical flag are tracked artifacts. --smoke
 // shrinks the tau grid for CI; --metrics=file.json writes the engine /
 // optimizer / pool counter sidecar (docs/OBSERVABILITY.md).
 #include <algorithm>
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/model.h"
 #include "core/optimizer.h"
 #include "core/serialize.h"
 #include "engine/evaluation.h"
@@ -63,7 +62,7 @@ double time_best(int repeats, const Fn& fn) {
   return best;
 }
 
-/// The winner contract every tier must honor: identical plan, expected
+/// The winner contract both tiers must honor: identical plan, expected
 /// time, and efficiency. Evaluation counts are deliberately excluded —
 /// the pruned tier evaluates fewer leaves by design.
 bool same_winner(const mlck::core::OptimizationResult& a,
@@ -73,11 +72,20 @@ bool same_winner(const mlck::core::OptimizationResult& a,
          a.expected_time == b.expected_time && a.efficiency == b.efficiency;
 }
 
-/// The stricter PR-3 contract between the structurally-identical tiers.
-bool exact_match(const mlck::core::OptimizationResult& a,
-                 const mlck::core::OptimizationResult& b) {
-  return same_winner(a, b) && a.evaluations == b.evaluations;
-}
+/// The cached tier's cost model: every plan through the engine's cached
+/// kernels, one whole recursion per plan.
+class CachedEngineModel final : public mlck::core::ExecutionTimeModel {
+ public:
+  explicit CachedEngineModel(const mlck::engine::EvaluationEngine& engine)
+      : engine_(engine) {}
+  double expected_time(const mlck::systems::SystemConfig& /*system*/,
+                       const mlck::core::CheckpointPlan& plan) const override {
+    return engine_.expected_time(plan);
+  }
+
+ private:
+  const mlck::engine::EvaluationEngine& engine_;
+};
 
 /// Coarse lattice size the accounting identity must tile: tau points x
 /// ladder^dims, summed over the level subsets the default search visits
@@ -124,20 +132,10 @@ int main(int argc, char** argv) {
   if (smoke) base.coarse_tau_points = 24;  // CI-sized grid, same code paths
   if (wiring != nullptr) base.metrics = &wiring->optimizer;
 
-  // PR-3 tier: the same staged cursor, but no lane batching and no
-  // bound pruning — structurally identical to the cached sweep.
-  mlck::core::OptimizerOptions staged_opts = base;
-  staged_opts.lane_batch = false;
-  staged_opts.prune = false;
-  // This PR's tier: 8-lane batched walk + admissible subtree pruning.
-  const mlck::core::OptimizerOptions& pruned_opts = base;
-
   mlck::util::Table table({"system", "evals", "pruned evals", "cached s",
-                           "staged s", "pruned s", "staged x", "total x",
-                           "identical"});
+                           "pruned s", "speedup", "identical"});
   Json::Array systems_json;
-  double worst_staged = std::numeric_limits<double>::infinity();
-  double worst_total = std::numeric_limits<double>::infinity();
+  double worst = std::numeric_limits<double>::infinity();
   bool all_identical = true;
   bool all_accounted = true;
 
@@ -147,69 +145,46 @@ int main(int argc, char** argv) {
     mlck::engine::EvaluationEngine engine(sys);
     if (wiring != nullptr) engine.attach_metrics(wiring->engine);
 
-    // The PR-1 baseline: the same cached per-subset kernels, evaluated
-    // one whole plan at a time behind a cost std::function (exactly what
-    // EvaluationEngine::optimize compiled to before the staged sweep).
-    const auto cached_factory =
-        [&engine](const std::vector<int>& levels) -> mlck::core::PlanCostFn {
-      const mlck::engine::EvaluationContext& ctx = engine.context(levels);
-      return [&ctx](const mlck::core::CheckpointPlan& plan) {
-        return ctx.kernel.expected_time(plan.tau0, plan.counts);
-      };
-    };
+    const CachedEngineModel cached_model(engine);
 
     // One untimed run per tier: warms the context cache and code/data
     // paths, and supplies the results for the equality checks.
-    const auto cached = mlck::core::optimize_intervals_with(
-        cached_factory, sys, base, &pool);
-    const auto staged = engine.optimize(staged_opts, &pool);
-    const auto pruned = engine.optimize(pruned_opts, &pool);
+    const auto cached =
+        mlck::core::optimize_intervals(cached_model, sys, base, &pool);
+    const auto pruned = engine.optimize(base, &pool);
 
-    bool bit_identical = true;
-    if (!exact_match(cached, staged)) {
-      bit_identical = false;
-      std::cerr << "FATAL: staged sweep diverges from per-plan path on "
-                << name << "\n";
-    }
-    if (!same_winner(cached, pruned)) {
-      bit_identical = false;
+    const bool bit_identical = same_winner(cached, pruned);
+    if (!bit_identical) {
       std::cerr << "FATAL: pruned sweep selects a different winner on "
                 << name << "\n";
     }
     all_identical = all_identical && bit_identical;
 
     const std::size_t lattice = lattice_size(sys, base);
-    const bool accounting_ok = accounted(cached) == lattice &&
-                               accounted(staged) == lattice &&
-                               accounted(pruned) == lattice;
+    const bool accounting_ok =
+        accounted(cached) == lattice && accounted(pruned) == lattice;
     if (!accounting_ok) {
       all_accounted = false;
       std::cerr << "FATAL: lattice accounting broken on " << name
                 << ": lattice " << lattice << " cached "
-                << accounted(cached) << " staged " << accounted(staged)
-                << " pruned " << accounted(pruned) << "\n";
+                << accounted(cached) << " pruned " << accounted(pruned)
+                << "\n";
     }
 
     const double cached_s = time_best(repeats, [&] {
-      mlck::core::optimize_intervals_with(cached_factory, sys, base, &pool);
+      mlck::core::optimize_intervals(cached_model, sys, base, &pool);
     });
-    const double staged_s =
-        time_best(repeats, [&] { engine.optimize(staged_opts, &pool); });
     const double pruned_s =
-        time_best(repeats, [&] { engine.optimize(pruned_opts, &pool); });
+        time_best(repeats, [&] { engine.optimize(base, &pool); });
 
     const auto evals = static_cast<double>(cached.evaluations);
-    const double staged_speedup = cached_s / staged_s;
-    const double total_speedup = cached_s / pruned_s;
-    worst_staged = std::min(worst_staged, staged_speedup);
-    worst_total = std::min(worst_total, total_speedup);
+    const double speedup = cached_s / pruned_s;
+    worst = std::min(worst, speedup);
     table.add_row({name, std::to_string(cached.evaluations),
                    std::to_string(pruned.evaluations),
                    mlck::util::Table::num(cached_s, 4),
-                   mlck::util::Table::num(staged_s, 4),
                    mlck::util::Table::num(pruned_s, 4),
-                   mlck::util::Table::num(staged_speedup, 2) + "x",
-                   mlck::util::Table::num(total_speedup, 2) + "x",
+                   mlck::util::Table::num(speedup, 2) + "x",
                    bit_identical && accounting_ok ? "yes" : "NO"});
 
     Json::Object row;
@@ -222,27 +197,23 @@ int main(int argc, char** argv) {
     row["pruned_bound"] = static_cast<double>(pruned.pruned_bound);
     row["lattice"] = static_cast<double>(lattice);
     row["cached_seconds"] = cached_s;
-    row["staged_seconds"] = staged_s;
     row["pruned_seconds"] = pruned_s;
     row["cached_evals_per_sec"] = evals / cached_s;
-    row["staged_evals_per_sec"] = evals / staged_s;
-    row["staged_speedup"] = staged_speedup;
-    row["total_speedup"] = total_speedup;
+    row["total_speedup"] = speedup;
     row["bit_identical"] = bit_identical;
     row["accounting_ok"] = accounting_ok;
     systems_json.emplace_back(std::move(row));
   }
 
   Json::Object doc;
-  doc["benchmark"] = "optimizer_sweep_tiers_cached_staged_pruned";
+  doc["benchmark"] = "optimizer_sweep_tiers_cached_pruned";
   doc["optimizer"] = smoke ? "optimize_intervals, coarse_tau_points=24"
                            : "optimize_intervals default options";
   doc["repeats"] = repeats;
   doc["threads"] = threads;
   doc["smoke"] = smoke;
   doc["systems"] = std::move(systems_json);
-  doc["min_staged_speedup"] = worst_staged;
-  doc["min_speedup"] = worst_total;
+  doc["min_speedup"] = worst;
   doc["bit_identical"] = all_identical;
   doc["accounting_ok"] = all_accounted;
   mlck::core::write_file(out, Json(std::move(doc)).dump(2) + "\n");
@@ -253,11 +224,11 @@ int main(int argc, char** argv) {
     std::cerr << "[mlck] wrote metrics sidecar " << metrics_path << "\n";
   }
 
-  std::cout << "Optimizer benchmark: cached per-plan vs staged cursor vs "
+  std::cout << "Optimizer benchmark: cached per-plan sweep vs staged "
                "lane-batched pruned sweep (identical winner, accounted "
                "lattice)\n";
   table.print(std::cout);
   std::cout << "\nwrote " << out << "\n";
   if (!all_identical || !all_accounted) return 1;
-  return worst_total > 1.0 ? 0 : 3;
+  return worst > 1.0 ? 0 : 3;
 }

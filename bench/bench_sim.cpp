@@ -38,7 +38,7 @@
 #include "engine/scenario.h"
 #include "math/failure_law.h"
 #include "obs/registry.h"
-#include "sim/reference_simulator.h"
+#include "support/reference_simulator.h"
 #include "sim/trial_runner.h"
 #include "systems/test_systems.h"
 #include "util/cli.h"

@@ -26,6 +26,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/client.h"
+#include "serve/request.h"
 #include "serve/server.h"
 #include "sim/trial_runner.h"
 #include "systems/test_systems.h"
@@ -41,12 +42,8 @@ namespace {
 using util::Cli;
 using util::Table;
 
-int run_connected(const Cli& cli, const std::string& op,
-                  const std::string& socket, std::ostream& out);
-
 std::unique_ptr<core::ExecutionTimeModel> make_model(
     const std::string& name) {
-  if (name == "dauwe") return std::make_unique<core::DauweModel>();
   if (name == "di") return std::make_unique<models::DiModel>();
   if (name == "moody") return std::make_unique<models::MoodyModel>();
   if (name == "daly") return std::make_unique<models::DalyModel>();
@@ -170,64 +167,112 @@ int cmd_show(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
+/// The registry an instrumented optimize/predict reports into. The
+/// standard engine::ScenarioMetrics names are registered up front, so the
+/// sidecar has one shape for every technique and model: serve::evaluate
+/// wires these same counters for Dauwe, and the other models report
+/// zeros.
+std::unique_ptr<obs::MetricsRegistry> answer_registry() {
+  auto registry = std::make_unique<obs::MetricsRegistry>();
+  (void)engine::ScenarioMetrics(*registry);
+  return registry;
+}
+
+/// The --plan=<file> document (required).
+util::Json plan_document(const Cli& cli) {
+  const auto plan_path = cli.value("plan");
+  if (!plan_path || plan_path->empty()) {
+    throw std::out_of_range("--plan=plan.json is required");
+  }
+  return util::Json::parse(core::read_file(*plan_path));
+}
+
+/// The one optimize/predict request for the Dauwe technique or model.
+/// `--connect` sends it to mlckd, and the local path answers it through
+/// serve::evaluate, so the two routes agree by construction. The system
+/// resolves here (Table I name or file) and travels inline.
+util::Json dauwe_request(const Cli& cli, const std::string& op) {
+  util::Json::Object request;
+  request["op"] = util::Json(op);
+  request["system"] = core::to_json(system_from(cli));
+  if (const auto law = law_from(cli, "dauwe", "request")) {
+    request["failure"] = law->to_json();
+  }
+  if (op == "predict") request["plan"] = plan_document(cli);
+  return util::Json(std::move(request));
+}
+
+/// `--connect=<socket>`: sends the dauwe request for @p op to mlckd and
+/// prints its answer.
+int run_connected(const Cli& cli, const std::string& op,
+                  const std::string& socket, std::ostream& out) {
+  const char* chooser = op == "optimize" ? "technique" : "model";
+  if (cli.get_string(chooser, "dauwe") != "dauwe") {
+    throw std::out_of_range("--connect serves the dauwe " +
+                            std::string(chooser) +
+                            " only (the daemon's evaluation-engine "
+                            "contract)");
+  }
+  serve::Client client(socket);
+  const util::Json response = client.call(dauwe_request(cli, op));
+  if (!response.at("ok").as_bool()) {
+    const util::Json& error = response.at("error");
+    throw std::runtime_error("daemon error [" +
+                             error.at("code").as_string() + "]: " +
+                             error.at("message").as_string());
+  }
+  const util::Json& result = response.at("result");
+  const auto plan = core::plan_from_json(result.at("plan"));
+  Table table({"field", "value"});
+  table.add_row({"served by", socket});
+  table.add_row({"plan", plan.to_string()});
+  table.add_row({"expected time (min)",
+                 Table::num(result.at("expected_time").as_number(), 2)});
+  table.add_row({"efficiency",
+                 Table::pct(result.at("efficiency").as_number())});
+  table.print(out);
+  if (const auto path = cli.value("out"); path && !path->empty()) {
+    core::write_file(*path, core::to_json(plan).dump(2) + "\n");
+    out << "plan written to " << *path << "\n";
+  }
+  return 0;
+}
+
 int cmd_optimize(const Cli& cli, std::ostream& out) {
   if (const auto socket = cli.value("connect"); socket && !socket->empty()) {
     return run_connected(cli, "optimize", *socket, out);
   }
-  const auto system = system_from(cli);
   const std::string technique_name = cli.get_string("technique", "dauwe");
   const auto law = law_from(cli, technique_name, "technique");
   const auto metrics_path = cli.value("metrics");
-  const bool instrumented = wants_registry(cli);
 
+  // At least two workers, so pool.* reflects the real parallel shape.
+  util::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::unique_ptr<obs::TelemetrySampler> sampler;
-  core::TechniqueResult result;
-  if (law.has_value() && !instrumented) {
-    // Law-aware search through the cached engine (the technique registry
-    // stays exponential-only).
-    engine::EvaluationEngine eng(system, {}, law->family());
-    const core::OptimizationResult best = eng.optimize();
-    result.technique = "Dauwe et al.";
-    result.plan = best.plan;
-    result.predicted_time = best.expected_time;
-    result.predicted_efficiency = best.efficiency;
-  } else if (instrumented) {
-    // Instrumented search under the standard scenario metric names. The
-    // pool mirrors cmd_scenario's observability rule: at least two
-    // workers, so pool.* reflects the real parallel shape.
-    registry = std::make_unique<obs::MetricsRegistry>();
-    engine::ScenarioMetrics wiring(*registry);
-    util::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
+  if (wants_registry(cli)) {
+    registry = answer_registry();
     pool.attach_metrics(engine::pool_metrics(*registry));
     if (cli.has("timeline")) {
       sampler = std::make_unique<obs::TelemetrySampler>(
           *registry, sampler_options_from(cli));
       sampler->start();
     }
-    if (technique_name == "dauwe") {
-      // Same staged search DauweTechnique runs, driven through the cached
-      // engine so the engine.* counters are exercised; the selected plan
-      // is bit-identical (the engine equivalence tests cover this).
-      engine::EvaluationEngine eng(system, {},
-                                   law ? law->family() : nullptr);
-      eng.attach_metrics(wiring.engine);
-      core::OptimizerOptions optimizer_options;
-      optimizer_options.metrics = &wiring.optimizer;
-      const core::OptimizationResult best =
-          eng.optimize(optimizer_options, &pool);
-      result.technique = "Dauwe et al.";
-      result.plan = best.plan;
-      result.predicted_time = best.expected_time;
-      result.predicted_efficiency = best.efficiency;
-    } else {
-      result = models::make_technique(technique_name)
-                   ->select_plan(system, &pool);
-    }
-    if (sampler) sampler->stop();
-  } else {
-    result = models::make_technique(technique_name)->select_plan(system);
   }
+  core::TechniqueResult result;
+  if (technique_name == "dauwe") {
+    const util::Json answer = serve::evaluate(
+        serve::Request::parse(dauwe_request(cli, "optimize")), &pool,
+        registry.get());
+    result.technique = "Dauwe et al.";
+    result.plan = core::plan_from_json(answer.at("plan"));
+    result.predicted_time = answer.at("expected_time").as_number();
+    result.predicted_efficiency = answer.at("efficiency").as_number();
+  } else {
+    result = models::make_technique(technique_name)
+                 ->select_plan(system_from(cli), &pool);
+  }
+  if (sampler) sampler->stop();
   Table table({"field", "value"});
   table.add_row({"technique", result.technique});
   if (law) table.add_row({"failure law", law->to_string()});
@@ -252,41 +297,26 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
   if (const auto socket = cli.value("connect"); socket && !socket->empty()) {
     return run_connected(cli, "predict", *socket, out);
   }
-  const auto system = system_from(cli);
-  const auto plan_path = cli.value("plan");
-  if (!plan_path || plan_path->empty()) {
-    throw std::out_of_range("--plan=plan.json is required");
-  }
-  const auto plan = core::plan_from_json(
-      util::Json::parse(core::read_file(*plan_path)));
-  plan.validate(system);
   const std::string model_name = cli.get_string("model", "dauwe");
   const auto law = law_from(cli, model_name, "model");
   const auto metrics_path = cli.value("metrics");
 
   std::unique_ptr<obs::MetricsRegistry> registry;
+  if (metrics_path) registry = answer_registry();
+  core::CheckpointPlan plan;
   core::Prediction prediction;
-  if (law.has_value() && !metrics_path.has_value()) {
-    prediction = core::DauweModel({}, law->family()).predict(system, plan);
-  } else if (metrics_path.has_value()) {
-    // Instrumented path. Only the Dauwe model runs through the cached
-    // engine (its engine.* counters move); other models have no
-    // instrumentation points, so their registry reports zeros.
-    registry = std::make_unique<obs::MetricsRegistry>();
-    engine::EngineMetrics wiring;
-    wiring.context_hits = &registry->counter("engine.context_cache.hits");
-    wiring.context_misses =
-        &registry->counter("engine.context_cache.misses");
-    wiring.evaluations = &registry->counter("engine.evaluations");
-    if (model_name == "dauwe") {
-      engine::EvaluationEngine eng(system, {},
-                                   law ? law->family() : nullptr);
-      eng.attach_metrics(wiring);
-      prediction = eng.predict(plan);
-    } else {
-      prediction = make_model(model_name)->predict(system, plan);
-    }
+  if (model_name == "dauwe") {
+    const serve::Request request =
+        serve::Request::parse(dauwe_request(cli, "predict"));
+    plan = request.plan;
+    const util::Json answer =
+        serve::evaluate(request, nullptr, registry.get());
+    prediction.expected_time = answer.at("expected_time").as_number();
+    prediction.efficiency = answer.at("efficiency").as_number();
   } else {
+    const auto system = system_from(cli);
+    plan = core::plan_from_json(plan_document(cli));
+    plan.validate(system);
     prediction = make_model(model_name)->predict(system, plan);
   }
   Table table({"field", "value"});
@@ -935,57 +965,6 @@ int cmd_serve(const Cli& cli, std::ostream& out) {
 /// system resolves locally, so file-path systems work, and travels
 /// inline), round-trips it through the daemon, and renders the daemon's
 /// deterministic result fields.
-int run_connected(const Cli& cli, const std::string& op,
-                  const std::string& socket, std::ostream& out) {
-  const auto system = system_from(cli);
-  const std::string technique =
-      cli.get_string(op == "optimize" ? "technique" : "model", "dauwe");
-  if (technique != "dauwe") {
-    throw std::out_of_range("--connect serves the dauwe " +
-                            std::string(op == "optimize" ? "technique"
-                                                         : "model") +
-                            " only (the daemon's evaluation-engine "
-                            "contract)");
-  }
-  util::Json::Object request;
-  request["op"] = util::Json(op);
-  request["system"] = core::to_json(system);
-  if (const auto law = law_from(cli, technique, "request")) {
-    request["failure"] = law->to_json();
-  }
-  if (op == "predict") {
-    const auto plan_path = cli.value("plan");
-    if (!plan_path || plan_path->empty()) {
-      throw std::out_of_range("--plan=plan.json is required");
-    }
-    request["plan"] = util::Json::parse(core::read_file(*plan_path));
-  }
-
-  serve::Client client(socket);
-  const util::Json response = client.call(util::Json(std::move(request)));
-  if (!response.at("ok").as_bool()) {
-    const util::Json& error = response.at("error");
-    throw std::runtime_error("daemon error [" +
-                             error.at("code").as_string() + "]: " +
-                             error.at("message").as_string());
-  }
-  const util::Json& result = response.at("result");
-  const auto plan = core::plan_from_json(result.at("plan"));
-  Table table({"field", "value"});
-  table.add_row({"served by", socket});
-  table.add_row({"plan", plan.to_string()});
-  table.add_row({"expected time (min)",
-                 Table::num(result.at("expected_time").as_number(), 2)});
-  table.add_row({"efficiency",
-                 Table::pct(result.at("efficiency").as_number())});
-  table.print(out);
-  if (const auto path = cli.value("out"); path && !path->empty()) {
-    core::write_file(*path, core::to_json(plan).dump(2) + "\n");
-    out << "plan written to " << *path << "\n";
-  }
-  return 0;
-}
-
 }  // namespace
 
 std::string usage() {

@@ -57,7 +57,9 @@ namespace mlck::app {
 /// client `shutdown` op (in-flight work completes, new admissions are
 /// rejected with a named error, telemetry flushes, exit 0). `optimize`
 /// and `predict` gain `--connect=<socket>` to round-trip through a
-/// running daemon instead of computing locally.
+/// running daemon instead of computing locally. For the Dauwe technique
+/// and model both routes build the same request document; locally it is
+/// answered by serve::evaluate, the daemon's own evaluation path.
 ///
 /// `selftest` runs the randomized verification harness (src/verify,
 /// docs/TESTING.md): generated cases checked against a numeric-quadrature

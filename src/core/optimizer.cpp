@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "core/dauwe_kernel.h"
@@ -50,96 +49,55 @@ std::vector<double> log_grid(double lo, double hi, int points) {
   return out;
 }
 
-/// Per-plan evaluator: one shared thread-safe cost callable per subset;
-/// each sweep slice assembles candidate plans and invokes it at the
-/// leaves. This is the path for arbitrary ExecutionTimeModels and the
-/// reference the staged evaluator is tested against.
-template <typename CostFn>
-struct CostEvaluator {
-  CostFn cost;             ///< shared across slices; must be thread-safe
-  std::vector<int> levels;
-
-  struct Slice {
-    const CostFn* cost;
-    CheckpointPlan plan;
-    void begin(double tau0) { plan.tau0 = tau0; }
-    void set_count(std::size_t dim, int n) { plan.counts[dim] = n; }
-    double leaf(double /*pattern*/) { return (*cost)(plan); }
-  };
-
-  Slice slice() const {
-    Slice s;
-    s.cost = &cost;
-    s.plan.levels = levels;
-    s.plan.counts.assign(levels.size() - 1, 0);
-    return s;
-  }
-
-  double plan_cost(const CheckpointPlan& plan) const { return cost(plan); }
+/// Per-(subset, tau0) coarse-pass output. One slot per tau0 point keeps
+/// the reduction serial and deterministic regardless of how slices are
+/// grouped into tasks (per-plan: one task per slot; staged: one task per
+/// 8 slots).
+struct Slot {
+  Candidate best;
+  std::size_t evals = 0;
+  std::size_t pruned_feas = 0;   ///< leaves cut by tau0 * prod(N+1) > T_B
+  std::size_t pruned_bound = 0;  ///< leaves cut by the admissible bound
 };
 
-/// Prefix-incremental evaluator over a DauweKernel cursor: set_count(d, n)
-/// completes stage d once per prefix node, so a leaf only pays for the
-/// top stage and the scratch wrap. Bit-identical to CostEvaluator over
-/// kernel.expected_time — the cursor is the per-plan path's arithmetic.
-struct StagedEvaluator {
-  const DauweKernel* kernel;
-
-  struct Slice {
-    DauweKernel::Cursor cursor;
-    void begin(double tau0) noexcept { cursor.begin(tau0); }
-    void set_count(std::size_t dim, int n) noexcept {
-      cursor.push_stage(static_cast<int>(dim), n);
-    }
-    double leaf(double pattern) noexcept {
-      return cursor.finish_expected_time(pattern);
-    }
-  };
-
-  Slice slice() const { return Slice{kernel->cursor()}; }
-
-  double plan_cost(const CheckpointPlan& plan) const {
-    return kernel->expected_time(plan.tau0, plan.counts);
+/// leaves_below[d]: leaf plans under one chosen rung at depth d.
+std::vector<std::size_t> leaves_below(std::size_t dims, std::size_t rungs) {
+  std::vector<std::size_t> out(dims);
+  std::size_t p = 1;
+  for (std::size_t d = dims; d-- > 0;) {
+    out[d] = p;
+    p *= rungs;
   }
-};
+  return out;
+}
 
-/// Enumerates the ladder^dims count lattice for one tau0 slice — the old
-/// recursive sweep flattened into an explicit rung stack so evaluators
-/// can reuse per-prefix state across siblings. Visit order, the
-/// feasibility prune (the ladder ascends, so the first infeasible rung
-/// cuts the rest of the depth), and best-candidate tie-breaking are
-/// identical to the recursive formulation. @p pruned counts *leaf plans*
-/// eliminated: each rung cut at depth d hides ladder^(dims-1-d) leaves,
-/// so evals + pruned == ladder^dims for every slice.
-template <typename Slice>
-void sweep_slice(Slice& slice, double tau0, double base_time,
-                 const std::vector<int>& ladder, std::vector<int>& counts,
-                 Candidate& best, std::size_t& evals, std::size_t& pruned) {
-  const std::size_t dims = counts.size();
-  slice.begin(tau0);
-  const auto consider = [&](double t) {
-    if (t < best.time) {
-      best.time = t;
-      best.tau0 = tau0;
-      best.counts = counts;
+/// Enumerates the ladder^dims count lattice for one tau0 slice of the
+/// per-plan search, evaluating @p model at every feasible leaf of
+/// @p plan's level subset. The walk is the recursive sweep flattened into
+/// an explicit rung stack. The feasibility prune (the ladder ascends, so
+/// the first infeasible rung cuts the rest of the depth) counts *leaf
+/// plans* eliminated: each rung cut at depth d hides ladder^(dims-1-d)
+/// leaves, so evals + pruned_feas == ladder^dims for every slice.
+void sweep_slice(const ExecutionTimeModel& model,
+                 const systems::SystemConfig& system,
+                 const std::vector<int>& ladder, CheckpointPlan& plan,
+                 Slot& slot) {
+  const std::size_t dims = plan.counts.size();
+  const auto consider = [&] {
+    ++slot.evals;
+    const double t = model.expected_time(system, plan);
+    if (t < slot.best.time) {
+      slot.best.time = t;
+      slot.best.tau0 = plan.tau0;
+      slot.best.counts = plan.counts;
     }
   };
   if (dims == 0) {
-    ++evals;
-    consider(slice.leaf(1.0));
+    consider();
     return;
   }
 
-  // leaves_below[d]: leaf plans under one chosen rung at depth d.
-  std::vector<std::size_t> leaves_below(dims);
-  {
-    std::size_t p = 1;
-    for (std::size_t d = dims; d-- > 0;) {
-      leaves_below[d] = p;
-      p *= ladder.size();
-    }
-  }
-
+  const std::vector<std::size_t> below = leaves_below(dims, ladder.size());
   std::vector<std::size_t> rung(dims, 0);
   std::vector<double> pattern(dims + 1, 1.0);  // prefix prod (N_j + 1)
   std::size_t d = 0;
@@ -152,19 +110,17 @@ void sweep_slice(Slice& slice, double tau0, double base_time,
     }
     const int n = ladder[rung[d]];
     const double p = pattern[d] * (n + 1);
-    if (tau0 * p > base_time) {  // ladder ascends: cut the remaining rungs
-      pruned += (ladder.size() - rung[d]) * leaves_below[d];
+    if (plan.tau0 * p > system.base_time) {  // cut the remaining rungs
+      slot.pruned_feas += (ladder.size() - rung[d]) * below[d];
       if (d == 0) return;
       --d;
       ++rung[d];
       continue;
     }
-    counts[d] = n;
-    slice.set_count(d, n);
+    plan.counts[d] = n;
     pattern[d + 1] = p;
     if (d + 1 == dims) {
-      ++evals;
-      consider(slice.leaf(p));
+      consider();
       ++rung[d];
     } else {
       ++d;
@@ -172,17 +128,6 @@ void sweep_slice(Slice& slice, double tau0, double base_time,
     }
   }
 }
-
-/// Per-(subset, tau0) coarse-pass output. One slot per tau0 point keeps
-/// the reduction serial and deterministic regardless of how slices are
-/// grouped into tasks (scalar: one task per slot; lane-batched: one task
-/// per 8 slots).
-struct Slot {
-  Candidate best;
-  std::size_t evals = 0;
-  std::size_t pruned_feas = 0;   ///< leaves cut by tau0 * prod(N+1) > T_B
-  std::size_t pruned_bound = 0;  ///< leaves cut by the admissible bound
-};
 
 /// Tau-independent constants of the admissible subtree lower bound for one
 /// kernel. Index k is the *stack* index: the stage just entered after
@@ -238,7 +183,6 @@ struct LaneSweepArgs {
   int nlanes = 0;                ///< 1..kSimdLanes
   double base_time = 0.0;
   const std::vector<int>* ladder = nullptr;
-  bool prune = false;
   /// Best expected time found so far for this level subset, shared across
   /// all of its sweep tasks. Monotone non-increasing, so relaxed loads are
   /// safe: a stale value can only prune less, never a surviving candidate.
@@ -246,7 +190,7 @@ struct LaneSweepArgs {
   Slot* slots = nullptr;  ///< nlanes entries, one per tau0 point
 };
 
-/// The lane-batched counterpart of sweep_slice: eight scalar cursors
+/// The staged counterpart of sweep_slice: eight scalar cursors
 /// advance in lockstep through one shared rung-stack walk, so the lattice
 /// bookkeeping (rungs, pattern prefix, leaves_below) is paid once per
 /// block instead of once per tau0 point, while every model value still
@@ -275,11 +219,9 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
       s.best.time = t;
       s.best.tau0 = a.taus[l];
       s.best.counts = counts;
-      if (a.prune) {
-        double cur = a.incumbent->load(std::memory_order_relaxed);
-        while (t < cur && !a.incumbent->compare_exchange_weak(
-                              cur, t, std::memory_order_relaxed)) {
-        }
+      double cur = a.incumbent->load(std::memory_order_relaxed);
+      while (t < cur && !a.incumbent->compare_exchange_weak(
+                            cur, t, std::memory_order_relaxed)) {
       }
     }
   };
@@ -291,15 +233,7 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
     return;
   }
 
-  std::vector<std::size_t> leaves_below(dims);
-  {
-    std::size_t p = 1;
-    for (std::size_t d = dims; d-- > 0;) {
-      leaves_below[d] = p;
-      p *= ladder.size();
-    }
-  }
-
+  const std::vector<std::size_t> below = leaves_below(dims, ladder.size());
   const BoundTerms bt = bound_terms(*a.kernel);
   const double safety = 1.0 - 1e-12;  // absorbs bound-side rounding
 
@@ -325,8 +259,7 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
     for (int l = 0; l < a.nlanes; ++l) {
       const auto bit = static_cast<LaneMask>(1u << l);
       if ((feas & bit) != 0 && a.taus[l] * p > a.base_time) {
-        a.slots[l].pruned_feas +=
-            (ladder.size() - rung[d]) * leaves_below[d];
+        a.slots[l].pruned_feas += (ladder.size() - rung[d]) * below[d];
         feas = static_cast<LaneMask>(feas & ~bit);
       }
     }
@@ -351,42 +284,40 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
     // v8_gt leaves unpruned) — either way no finite-valued subtree is
     // ever cut incorrectly.
     LaneMask next = feas;
-    if (a.prune) {
-      const double inc = a.incumbent->load(std::memory_order_relaxed);
-      if (inc < kInf) {
-        const int e = static_cast<int>(d) + 1;
-        Vec8d tau_e = math::v8_splat(0.0);
-        Vec8d gamma = math::v8_splat(0.0);
-        Vec8d gamma_e = math::v8_splat(0.0);
+    const double inc = a.incumbent->load(std::memory_order_relaxed);
+    if (inc < kInf) {
+      const int e = static_cast<int>(d) + 1;
+      Vec8d tau_e = math::v8_splat(0.0);
+      Vec8d gamma = math::v8_splat(0.0);
+      Vec8d gamma_e = math::v8_splat(0.0);
+      for (int l = 0; l < a.nlanes; ++l) {
+        if ((feas & (1u << l)) != 0) {
+          tau_e.lane[l] = cursors[l].stage_tau(e);
+          gamma.lane[l] = cursors[l].stage_gamma(e);
+          gamma_e.lane[l] = cursors[l].stage_gamma_e(e);
+        }
+      }
+      // occ_e = T_B / (tau0 * P_e); LB = occ_e * (tau_e + gamma_e E_e
+      // + gamma_e R_e) + T_B * tail_half[e] * tau_e.
+      const Vec8d occ =
+          math::v8_div(math::v8_splat(a.base_time / p), tau0v);
+      const Vec8d core =
+          math::v8_fma(gamma, math::v8_splat(bt.restart_cost[e]),
+                       math::v8_add(tau_e, gamma_e));
+      const Vec8d lb = math::v8_fma(
+          occ, core,
+          math::v8_mul(math::v8_splat(a.base_time * bt.tail_half[e]),
+                       tau_e));
+      const LaneMask cut = static_cast<LaneMask>(
+          math::v8_gt(math::v8_mul(lb, math::v8_splat(safety)), inc) &
+          feas);
+      if (cut != 0) {
         for (int l = 0; l < a.nlanes; ++l) {
-          if ((feas & (1u << l)) != 0) {
-            tau_e.lane[l] = cursors[l].stage_tau(e);
-            gamma.lane[l] = cursors[l].stage_gamma(e);
-            gamma_e.lane[l] = cursors[l].stage_gamma_e(e);
+          if ((cut & (1u << l)) != 0) {
+            a.slots[l].pruned_bound += below[d];
           }
         }
-        // occ_e = T_B / (tau0 * P_e); LB = occ_e * (tau_e + gamma_e E_e
-        // + gamma_e R_e) + T_B * tail_half[e] * tau_e.
-        const Vec8d occ =
-            math::v8_div(math::v8_splat(a.base_time / p), tau0v);
-        const Vec8d core =
-            math::v8_fma(gamma, math::v8_splat(bt.restart_cost[e]),
-                         math::v8_add(tau_e, gamma_e));
-        const Vec8d lb = math::v8_fma(
-            occ, core,
-            math::v8_mul(math::v8_splat(a.base_time * bt.tail_half[e]),
-                         tau_e));
-        const LaneMask cut = static_cast<LaneMask>(
-            math::v8_gt(math::v8_mul(lb, math::v8_splat(safety)), inc) &
-            feas);
-        if (cut != 0) {
-          for (int l = 0; l < a.nlanes; ++l) {
-            if ((cut & (1u << l)) != 0) {
-              a.slots[l].pruned_bound += leaves_below[d];
-            }
-          }
-          next = static_cast<LaneMask>(feas & ~cut);
-        }
+        next = static_cast<LaneMask>(feas & ~cut);
       }
     }
 
@@ -409,121 +340,49 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
   }
 }
 
-/// Shared search skeleton. @p make_evaluator is invoked once per level
-/// subset — serially, in search order — and returns the per-subset
-/// evaluator (CostEvaluator or StagedEvaluator). The coarse pass then
-/// runs one independent task per (subset, tau0) pair — or per
-/// (subset, 8-wide tau0 block) on the lane-batched staged path — so
-/// systems with few interior dims still expose many units of
-/// parallelism; reduction and refinement stay serial and deterministic.
-template <typename MakeEvaluator>
-OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
-                                 const systems::SystemConfig& system,
-                                 const OptimizerOptions& options,
-                                 util::ThreadPool* pool) {
+/// The plan space of one search: the candidate level subsets in search
+/// order, the count ladder, and the log-spaced tau0 grid. A coarse pass
+/// writes one Slot per (subset, tau0) pair, subset-major.
+struct Lattice {
+  std::vector<std::vector<int>> subsets;
+  std::vector<int> ladder;
+  std::vector<double> taus;
+};
+
+Lattice make_lattice(const systems::SystemConfig& system,
+                     const OptimizerOptions& options) {
   system.validate();
   options.validate(system);
 
-  // Candidate level subsets.
-  std::vector<std::vector<int>> subsets;
+  Lattice lat;
   if (!options.restrict_levels.empty()) {
-    subsets.push_back(options.restrict_levels);
+    lat.subsets.push_back(options.restrict_levels);
   } else {
     const int L = system.levels();
     const int min_k = options.allow_suffix_skipping ? 1 : L;
     for (int K = L; K >= min_k; --K) {
       std::vector<int> levels(static_cast<std::size_t>(K));
       for (int i = 0; i < K; ++i) levels[static_cast<std::size_t>(i)] = i;
-      subsets.push_back(std::move(levels));
+      lat.subsets.push_back(std::move(levels));
     }
   }
+  lat.ladder = count_ladder(options.max_count);
+  lat.taus = log_grid(options.tau_min, system.base_time * (1.0 - 1e-9),
+                      options.coarse_tau_points);
+  return lat;
+}
 
-  const std::vector<int> ladder = count_ladder(options.max_count);
-  const std::vector<double> taus = log_grid(
-      options.tau_min, system.base_time * (1.0 - 1e-9),
-      options.coarse_tau_points);
-
-  using Evaluator = std::decay_t<decltype(make_evaluator(subsets.front()))>;
-  std::vector<Evaluator> evaluator;
-  evaluator.reserve(subsets.size());
-  for (const auto& levels : subsets) {
-    evaluator.push_back(make_evaluator(levels));
-  }
-
-  // Coarse pass: every (subset, tau0) slice finds its own best, written
-  // to a private slot; the reduction below is serial and deterministic.
-  // The staged path batches eight consecutive tau0 slices into one
-  // lane-sweep task (still one slot per slice), and shares a per-subset
-  // incumbent so the admissible bound can cut subtrees across tasks. The
-  // incumbent is per *subset*, not global: a globally-pruned subset could
-  // otherwise hand refinement a different starting candidate and change
-  // the returned winner; per-subset, the subset's own optimum can never
-  // be cut, so every refinement start — and hence the winner — is
-  // preserved exactly.
-  const std::size_t nt = taus.size();
-  std::vector<Slot> slot(subsets.size() * nt);
-  {
-    obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
-    bool lane_batched = false;
-    if constexpr (std::is_same_v<Evaluator, StagedEvaluator>) {
-      if (options.lane_batch) {
-        lane_batched = true;
-        std::vector<std::atomic<double>> incumbent(subsets.size());
-        for (auto& inc : incumbent) {
-          inc.store(kInf, std::memory_order_relaxed);
-        }
-        const std::size_t blocks =
-            (nt + kSimdLanes - 1) / static_cast<std::size_t>(kSimdLanes);
-        // Strided block order: early tasks sample tau0 blocks spread
-        // across the whole grid, so each subset owns a near-optimal
-        // incumbent after ~sqrt(blocks) tasks instead of only once the
-        // ascending sweep reaches the optimum's neighborhood. Execution
-        // order only — slots, accounting, and the winner are
-        // order-independent.
-        std::vector<std::size_t> order;
-        order.reserve(blocks);
-        const auto stride = std::max<std::size_t>(
-            1, static_cast<std::size_t>(
-                   std::lround(std::sqrt(static_cast<double>(blocks)))));
-        for (std::size_t s = 0; s < stride; ++s) {
-          for (std::size_t b = s; b < blocks; b += stride) {
-            order.push_back(b);
-          }
-        }
-        util::parallel_for(pool, subsets.size() * blocks,
-                           [&](std::size_t idx) {
-          obs::Span span(options.trace, "optimizer.sweep_block",
-                         "optimizer");
-          const std::size_t si = idx / blocks;
-          const std::size_t t0 = order[idx % blocks] * kSimdLanes;
-          std::vector<int> counts(subsets[si].size() - 1, 0);
-          LaneSweepArgs args;
-          args.kernel = evaluator[si].kernel;
-          args.taus = taus.data() + t0;
-          args.nlanes = static_cast<int>(
-              std::min<std::size_t>(kSimdLanes, nt - t0));
-          args.base_time = system.base_time;
-          args.ladder = &ladder;
-          args.prune = options.prune;
-          args.incumbent = &incumbent[si];
-          args.slots = slot.data() + si * nt + t0;
-          lane_sweep(args, counts);
-        });
-      }
-    }
-    if (!lane_batched) {
-      util::parallel_for(pool, slot.size(), [&](std::size_t idx) {
-        obs::Span span(options.trace, "optimizer.sweep_slice", "optimizer");
-        const std::size_t si = idx / nt;
-        auto slice = evaluator[si].slice();
-        std::vector<int> counts(subsets[si].size() - 1, 0);
-        Slot& s = slot[idx];
-        sweep_slice(slice, taus[idx % nt], system.base_time, ladder, counts,
-                    s.best, s.evals, s.pruned_feas);
-      });
-    }
-  }
-
+/// The shared tail of both searches: reduces the coarse-pass slots,
+/// refines each subset's best point by coordinate descent against
+/// @p plan_cost(subset index, plan) — the same evaluator as the coarse
+/// pass — and keeps the global winner. Serial and deterministic.
+template <typename PlanCost>
+OptimizationResult refine_and_select(const Lattice& lat,
+                                     std::vector<Slot>& slot,
+                                     const PlanCost& plan_cost,
+                                     const systems::SystemConfig& system,
+                                     const OptimizerOptions& options) {
+  const std::size_t nt = lat.taus.size();
   Candidate global;
   std::vector<int> global_levels;
   std::size_t total_evals = 0;
@@ -531,8 +390,8 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
   std::size_t total_pruned_bound = 0;
   std::size_t refine_evals = 0;
 
-  for (std::size_t si = 0; si < subsets.size(); ++si) {
-    const auto& levels = subsets[si];
+  for (std::size_t si = 0; si < lat.subsets.size(); ++si) {
+    const auto& levels = lat.subsets[si];
     const std::size_t dims = levels.size() - 1;
 
     Candidate best;
@@ -545,8 +404,7 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
     }
     if (!std::isfinite(best.time)) continue;
 
-    // Refinement: coordinate descent over tau0 and each count, evaluated
-    // against the same per-subset evaluator as the coarse pass.
+    // Refinement: coordinate descent over tau0 and each count.
     obs::Span refine_span(options.trace, "optimizer.refine", "optimizer");
     static constexpr double kTauFactors[] = {0.80, 0.90, 0.95, 0.98,
                                              1.02, 1.05, 1.10, 1.25};
@@ -558,7 +416,7 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
       // Every stepped candidate passes the same feasibility bound the
       // coarse sweep enforces (tau0 * prod(N_j + 1) <= T_B, Sec. III-C).
       // Dauwe-family evaluators return +inf past it anyway, but the
-      // generic overloads accept arbitrary models, and one that returns a
+      // per-plan overload accepts arbitrary models, and one that returns a
       // finite time for an infeasible plan would otherwise be able to
       // step refinement onto — and return — an infeasible winner.
       for (const double f : kTauFactors) {
@@ -569,7 +427,7 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
         plan.counts = best.counts;
         ++total_evals;
         ++refine_evals;
-        const double t = evaluator[si].plan_cost(plan);
+        const double t = plan_cost(si, plan);
         if (t < improved.time) {
           improved = Candidate{t, tau, best.counts};
         }
@@ -586,7 +444,7 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
           }
           ++total_evals;
           ++refine_evals;
-          const double t = evaluator[si].plan_cost(plan);
+          const double t = plan_cost(si, plan);
           if (t < improved.time) {
             improved = Candidate{t, best.tau0, plan.counts};
           }
@@ -611,7 +469,7 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
       m->plans_pruned_bound->add(total_pruned_bound);
     }
     if (m->plans_refined) m->plans_refined->add(refine_evals);
-    if (m->subsets_searched) m->subsets_searched->add(subsets.size());
+    if (m->subsets_searched) m->subsets_searched->add(lat.subsets.size());
   }
 
   if (!std::isfinite(global.time)) {
@@ -631,15 +489,6 @@ OptimizationResult optimize_impl(const MakeEvaluator& make_evaluator,
   result.pruned_bound = total_pruned_bound;
   return result;
 }
-
-/// Direct-model cost: no per-subset state, one virtual call per plan.
-struct ModelCost {
-  const ExecutionTimeModel& model;
-  const systems::SystemConfig& system;
-  double operator()(const CheckpointPlan& plan) const {
-    return model.expected_time(system, plan);
-  }
-};
 
 }  // namespace
 
@@ -687,29 +536,90 @@ OptimizationResult optimize_intervals(const ExecutionTimeModel& model,
                                       const systems::SystemConfig& system,
                                       const OptimizerOptions& options,
                                       util::ThreadPool* pool) {
-  const auto make_evaluator = [&](const std::vector<int>& levels) {
-    return CostEvaluator<ModelCost>{ModelCost{model, system}, levels};
-  };
-  return optimize_impl(make_evaluator, system, options, pool);
-}
-
-OptimizationResult optimize_intervals_with(
-    const SubsetEvaluatorFactory& factory,
-    const systems::SystemConfig& system, const OptimizerOptions& options,
-    util::ThreadPool* pool) {
-  const auto make_evaluator = [&](const std::vector<int>& levels) {
-    return CostEvaluator<PlanCostFn>{factory(levels), levels};
-  };
-  return optimize_impl(make_evaluator, system, options, pool);
+  const Lattice lat = make_lattice(system, options);
+  const std::size_t nt = lat.taus.size();
+  std::vector<Slot> slot(lat.subsets.size() * nt);
+  {
+    // One independent task per (subset, tau0) pair, so systems with few
+    // interior dims still expose many units of parallelism.
+    obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
+    util::parallel_for(pool, slot.size(), [&](std::size_t idx) {
+      obs::Span span(options.trace, "optimizer.sweep_slice", "optimizer");
+      CheckpointPlan plan;
+      plan.tau0 = lat.taus[idx % nt];
+      plan.levels = lat.subsets[idx / nt];
+      plan.counts.assign(plan.levels.size() - 1, 0);
+      sweep_slice(model, system, lat.ladder, plan, slot[idx]);
+    });
+  }
+  return refine_and_select(
+      lat, slot,
+      [&](std::size_t, const CheckpointPlan& plan) {
+        return model.expected_time(system, plan);
+      },
+      system, options);
 }
 
 OptimizationResult optimize_intervals_staged(
     const SubsetKernelFactory& factory, const systems::SystemConfig& system,
     const OptimizerOptions& options, util::ThreadPool* pool) {
-  const auto make_evaluator = [&](const std::vector<int>& levels) {
-    return StagedEvaluator{&factory(levels)};
-  };
-  return optimize_impl(make_evaluator, system, options, pool);
+  const Lattice lat = make_lattice(system, options);
+  std::vector<const DauweKernel*> kernel;
+  kernel.reserve(lat.subsets.size());
+  for (const auto& levels : lat.subsets) kernel.push_back(&factory(levels));
+
+  // Coarse pass: eight consecutive tau0 slices form one lane-sweep task
+  // (still one slot per slice), and a per-subset incumbent lets the
+  // admissible bound cut subtrees across tasks. The incumbent is per
+  // *subset*, not global: a globally-pruned subset could otherwise hand
+  // refinement a different starting candidate and change the returned
+  // winner; per-subset, the subset's own optimum can never be cut, so
+  // every refinement start — and hence the winner — is preserved exactly.
+  const std::size_t nt = lat.taus.size();
+  std::vector<Slot> slot(lat.subsets.size() * nt);
+  {
+    obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
+    std::vector<std::atomic<double>> incumbent(lat.subsets.size());
+    for (auto& inc : incumbent) inc.store(kInf, std::memory_order_relaxed);
+    const std::size_t blocks =
+        (nt + kSimdLanes - 1) / static_cast<std::size_t>(kSimdLanes);
+    // Strided block order: early tasks sample tau0 blocks spread across
+    // the whole grid, so each subset owns a near-optimal incumbent after
+    // ~sqrt(blocks) tasks instead of only once the ascending sweep
+    // reaches the optimum's neighborhood. Execution order only — slots,
+    // accounting, and the winner are order-independent.
+    std::vector<std::size_t> order;
+    order.reserve(blocks);
+    const auto stride = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::lround(std::sqrt(static_cast<double>(blocks)))));
+    for (std::size_t s = 0; s < stride; ++s) {
+      for (std::size_t b = s; b < blocks; b += stride) order.push_back(b);
+    }
+    util::parallel_for(pool, lat.subsets.size() * blocks,
+                       [&](std::size_t idx) {
+      obs::Span span(options.trace, "optimizer.sweep_block", "optimizer");
+      const std::size_t si = idx / blocks;
+      const std::size_t t0 = order[idx % blocks] * kSimdLanes;
+      std::vector<int> counts(lat.subsets[si].size() - 1, 0);
+      LaneSweepArgs args;
+      args.kernel = kernel[si];
+      args.taus = lat.taus.data() + t0;
+      args.nlanes =
+          static_cast<int>(std::min<std::size_t>(kSimdLanes, nt - t0));
+      args.base_time = system.base_time;
+      args.ladder = &lat.ladder;
+      args.incumbent = &incumbent[si];
+      args.slots = slot.data() + si * nt + t0;
+      lane_sweep(args, counts);
+    });
+  }
+  return refine_and_select(
+      lat, slot,
+      [&](std::size_t si, const CheckpointPlan& plan) {
+        return kernel[si]->expected_time(plan.tau0, plan.counts);
+      },
+      system, options);
 }
 
 }  // namespace mlck::core

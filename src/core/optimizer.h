@@ -26,8 +26,8 @@ struct OptimizerMetrics {
   obs::Counter* plans_pruned = nullptr;
   /// Leaf plans eliminated because an admissible lower bound on their
   /// subtree exceeded the best expected time already found for the same
-  /// level subset (staged sweep with OptimizerOptions::prune only; the
-  /// other term of the lattice accounting identity above).
+  /// level subset (optimize_intervals_staged only; the other term of the
+  /// lattice accounting identity above).
   obs::Counter* plans_pruned_bound = nullptr;
   obs::Counter* plans_refined = nullptr;  ///< refinement cost evaluations
   obs::Counter* subsets_searched = nullptr;  ///< level subsets swept
@@ -58,31 +58,13 @@ struct OptimizerOptions {
   /// {L-1} for traditional checkpoint/restart). Overrides suffix skipping.
   std::vector<int> restrict_levels;
 
-  /// Batch the staged coarse sweep: eight tau0 grid points advance through
-  /// one shared count-lattice walk as lanes of scalar kernel cursors
-  /// (math/simd.h backends serve only the bound/mask arithmetic). Winner,
-  /// expected time, and the lattice accounting are identical to the
-  /// unbatched sweep; only wall-clock changes. Ignored by the per-plan
-  /// (non-staged) overloads, which cannot share stage state across plans.
-  bool lane_batch = true;
-
-  /// Skip count-lattice subtrees whose admissible first-order lower bound
-  /// (Benoit-style single-level relaxation; docs/PERFORMANCE.md) exceeds
-  /// the best expected time already found for the same level subset. The
-  /// selected plan and its expected time are unchanged — a subtree
-  /// containing a subset's optimum can never satisfy the cut — but
-  /// OptimizationResult::evaluations shrinks and, under a thread pool,
-  /// varies run to run with incumbent propagation timing. Requires
-  /// lane_batch and the staged path; ignored elsewhere.
-  bool prune = true;
-
   /// Observe-only counters for the search (docs/OBSERVABILITY.md).
   /// Non-owning; ignored by JSON (de)serialization and by comparisons.
   OptimizerMetrics* metrics = nullptr;
 
   /// Observe-only span sink for the search phases ("optimizer.coarse_sweep",
-  /// "optimizer.sweep_slice" / "optimizer.sweep_block", "optimizer.refine";
-  /// docs/OBSERVABILITY.md). Same contract as metrics: non-owning, null
+  /// "optimizer.sweep_slice" (per-plan overload) / "optimizer.sweep_block"
+  /// (staged search), "optimizer.refine"; docs/OBSERVABILITY.md). Same contract as metrics: non-owning, null
   /// skips all instrumentation, results are bit-identical either way.
   obs::TraceSink* trace = nullptr;
 
@@ -112,7 +94,9 @@ struct OptimizationResult {
 };
 
 /// Minimizes model.expected_time over the bounded plan space for
-/// @p system. The returned plan is feasible (finite expected time);
+/// @p system, one virtual call per candidate plan: the search for models
+/// without a kernel (Moody, Di, energy) and the exact reference the staged
+/// search is tested against. The returned plan is feasible (finite expected time);
 /// throws std::runtime_error if no candidate is feasible.
 ///
 /// @p pool parallelizes the coarse sweep jointly across (level subset,
@@ -123,29 +107,6 @@ OptimizationResult optimize_intervals(const ExecutionTimeModel& model,
                                       const OptimizerOptions& options = {},
                                       util::ThreadPool* pool = nullptr);
 
-/// Expected-time cost of one candidate plan. The plan's level subset is
-/// fixed by the factory call that produced the function; tau0 and counts
-/// vary per call. Must be thread-safe: the coarse sweep invokes it
-/// concurrently from every tau0 slice.
-using PlanCostFn = std::function<double(const CheckpointPlan& plan)>;
-
-/// Called once per candidate level subset before its sweep begins; the
-/// returned cost function is then used for every coarse-sweep and
-/// refinement evaluation over that subset. This is the hook that lets the
-/// engine layer precompute per-(system, level-subset) invariants once and
-/// reuse them across the whole search instead of rebuilding them per plan.
-using SubsetEvaluatorFactory =
-    std::function<PlanCostFn(const std::vector<int>& levels)>;
-
-/// optimize_intervals with per-subset evaluators. Sweep order, pruning,
-/// refinement, and tie-breaking are identical to the model overload, so
-/// two factories whose cost functions agree bit-for-bit select identical
-/// plans with identical evaluation counts.
-OptimizationResult optimize_intervals_with(
-    const SubsetEvaluatorFactory& factory,
-    const systems::SystemConfig& system, const OptimizerOptions& options = {},
-    util::ThreadPool* pool = nullptr);
-
 /// The precomputed kernel for one candidate level subset. Called once per
 /// subset, serially, in search order; the returned reference must stay
 /// valid until the search ends (the caller owns the kernels, e.g. the
@@ -153,19 +114,19 @@ OptimizationResult optimize_intervals_with(
 using SubsetKernelFactory =
     std::function<const DauweKernel&(const std::vector<int>& levels)>;
 
-/// optimize_intervals driven by the prefix-incremental kernel cursor
-/// (DauweKernel::Cursor): entering enumeration depth k computes stage k's
-/// transcendental terms once per count prefix instead of once per leaf
-/// plan, so only the top stage and the scratch wrap run per candidate.
-/// Every leaf value is bit-identical to kernel.expected_time (the cursor
-/// *is* the per-plan path's arithmetic), so the selected plan and its
-/// expected time match the per-plan overloads exactly — under every
-/// lane_batch/prune setting. With lane_batch and prune disabled the sweep
-/// is additionally *structurally* identical: same enumeration order and
-/// the same evaluation counts as the per-plan overloads. With the default
-/// lane-batched pruned sweep only the winner contract holds; evaluation
-/// counts shrink (and vary run to run under a thread pool), while the
-/// lattice accounting identity on OptimizationResult stays exact.
+/// The Dauwe interval search: optimize_intervals over per-subset kernels
+/// (DauweKernel::Cursor), with the coarse sweep batched and pruned.
+/// Entering enumeration depth k computes stage k's transcendental terms
+/// once per count prefix instead of once per leaf plan; eight tau0 grid
+/// points walk one shared count-lattice as lanes of scalar cursors; and
+/// count-lattice subtrees whose admissible lower bound (docs/PERFORMANCE.md)
+/// exceeds the best expected time already found for the same level subset
+/// are skipped. Every visited leaf is bit-identical to
+/// kernel.expected_time, and a subtree holding a subset's optimum is never
+/// cut, so the selected plan and its expected time match the per-plan
+/// overload over DauweModel exactly. Evaluation counts shrink instead (and
+/// vary run to run under a thread pool), while the lattice accounting
+/// identity on OptimizationResult stays exact.
 OptimizationResult optimize_intervals_staged(
     const SubsetKernelFactory& factory, const systems::SystemConfig& system,
     const OptimizerOptions& options = {}, util::ThreadPool* pool = nullptr);

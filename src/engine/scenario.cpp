@@ -142,8 +142,6 @@ Json optimizer_to_json(const core::OptimizerOptions& opts) {
   doc["max_count"] = Json(opts.max_count);
   doc["refine_rounds"] = Json(opts.refine_rounds);
   doc["allow_suffix_skipping"] = Json(opts.allow_suffix_skipping);
-  doc["lane_batch"] = Json(opts.lane_batch);
-  doc["prune"] = Json(opts.prune);
   if (!opts.restrict_levels.empty()) {
     doc["restrict_levels"] = Json(levels_to_json(opts.restrict_levels));
   }
@@ -155,7 +153,7 @@ core::OptimizerOptions optimizer_from_json(const Json& doc) {
   require_known_keys(doc, "scenario.optimizer",
                      {"coarse_tau_points", "tau_min", "max_count",
                       "refine_rounds", "allow_suffix_skipping",
-                      "lane_batch", "prune", "restrict_levels"});
+                      "restrict_levels"});
   if (const Json* v = doc.find("coarse_tau_points"))
     opts.coarse_tau_points = static_cast<int>(v->as_number());
   if (const Json* v = doc.find("tau_min")) opts.tau_min = v->as_number();
@@ -165,8 +163,6 @@ core::OptimizerOptions optimizer_from_json(const Json& doc) {
     opts.refine_rounds = static_cast<int>(v->as_number());
   if (const Json* v = doc.find("allow_suffix_skipping"))
     opts.allow_suffix_skipping = v->as_bool();
-  if (const Json* v = doc.find("lane_batch")) opts.lane_batch = v->as_bool();
-  if (const Json* v = doc.find("prune")) opts.prune = v->as_bool();
   if (const Json* v = doc.find("restrict_levels"))
     opts.restrict_levels = levels_from_json(*v);
   return opts;

@@ -180,9 +180,14 @@ void Server::connection_loop(util::Fd fd, std::size_t index) {
       break;
     }
     bool stop_after_write = false;
-    {
+    try {
       obs::ScopedTimer timer(metrics_.request_latency_ns);
       response = handle_payload(payload, stop_after_write);
+    } catch (const std::exception& e) {
+      // Nothing may escape a connection thread: an uncaught exception
+      // here would terminate the whole daemon.
+      metrics_.errors->add();
+      response = error_response(Json(), "internal", e.what());
     }
     metrics_.requests->add();
     const bool wrote = write_frame(fd.get(), response);
@@ -330,7 +335,23 @@ void Server::executor_loop() {
     }
     metrics_.jobs_executed->add();
 
-    if (ok) cache_.put(job.key, result.dump());
+    if (ok) {
+      // Only text the protocol can carry is cached or sent: a non-finite
+      // number (an overflowed forecast, say) dumps as "inf", which no
+      // JSON parser — this daemon's cache replay included — accepts.
+      std::string text = result.dump();
+      try {
+        (void)Json::parse(text);
+        cache_.put(job.key, std::move(text));
+      } catch (const util::JsonError&) {
+        ok = false;
+        code = "non_finite_result";
+        message =
+            "the result holds a non-finite number (e.g. an overflowed "
+            "expected_time), which JSON cannot represent";
+        result = Json();
+      }
+    }
     {
       // Retire the key before fulfilling: an arrival after this point
       // starts fresh (and finds the cache populated on the ok path).

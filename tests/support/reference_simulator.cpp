@@ -1,4 +1,4 @@
-#include "sim/reference_simulator.h"
+#include "support/reference_simulator.h"
 
 #include <algorithm>
 #include <cassert>

@@ -14,7 +14,7 @@
 #include "prop_support.h"
 #include "sim/compiled_schedule.h"
 #include "sim/fast_forward.h"
-#include "sim/reference_simulator.h"
+#include "support/reference_simulator.h"
 #include "sim/simulator.h"
 #include "sim/trial_runner.h"
 #include "systems/test_systems.h"

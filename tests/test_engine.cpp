@@ -163,7 +163,7 @@ TEST(EngineGolden, OptimizeBitMatchesOptimizeIntervalsOnAllSystems) {
     const EvaluationEngine engine(sys);
     const auto opts = quick_search();
     const auto direct = core::optimize_intervals(model, sys, opts);
-    // The engine default (lane-batched pruned sweep) keeps the winner
+    // The engine's staged search (lane-batched, pruned) keeps the winner
     // bit-identical while evaluating fewer leaves.
     const auto pruned = engine.optimize(opts);
     EXPECT_EQ(direct.plan.tau0, pruned.plan.tau0) << name;
@@ -172,18 +172,6 @@ TEST(EngineGolden, OptimizeBitMatchesOptimizeIntervalsOnAllSystems) {
     EXPECT_EQ(direct.expected_time, pruned.expected_time) << name;
     EXPECT_EQ(direct.efficiency, pruned.efficiency) << name;
     EXPECT_LE(pruned.evaluations, direct.evaluations) << name;
-    // With lanes and pruning off the staged path is structurally
-    // identical, down to the evaluation count.
-    auto exact_opts = opts;
-    exact_opts.lane_batch = false;
-    exact_opts.prune = false;
-    const auto exact = engine.optimize(exact_opts);
-    EXPECT_EQ(direct.plan.tau0, exact.plan.tau0) << name;
-    EXPECT_EQ(direct.plan.counts, exact.plan.counts) << name;
-    EXPECT_EQ(direct.plan.levels, exact.plan.levels) << name;
-    EXPECT_EQ(direct.expected_time, exact.expected_time) << name;
-    EXPECT_EQ(direct.efficiency, exact.efficiency) << name;
-    EXPECT_EQ(direct.evaluations, exact.evaluations) << name;
   }
 }
 
@@ -199,15 +187,6 @@ TEST(EngineGolden, OptimizeBitMatchesWithThreadPool) {
   EXPECT_EQ(direct.plan.levels, pruned.plan.levels);
   EXPECT_EQ(direct.expected_time, pruned.expected_time);
   EXPECT_LE(pruned.evaluations, direct.evaluations);
-  core::OptimizerOptions exact_opts;
-  exact_opts.lane_batch = false;
-  exact_opts.prune = false;
-  const auto exact = engine.optimize(exact_opts, &pool);
-  EXPECT_EQ(direct.plan.tau0, exact.plan.tau0);
-  EXPECT_EQ(direct.plan.counts, exact.plan.counts);
-  EXPECT_EQ(direct.plan.levels, exact.plan.levels);
-  EXPECT_EQ(direct.expected_time, exact.expected_time);
-  EXPECT_EQ(direct.evaluations, exact.evaluations);
 }
 
 TEST(Engine, ContextsAreCachedAndReused) {
@@ -400,6 +379,9 @@ TEST(ScenarioSpec, RejectsTypoedKeysNamingKeyAndSection) {
   expect_unknown_key_rejected("optimizer", "coarse_points");
   expect_unknown_key_rejected("failure", "shap");            // shape
   expect_unknown_key_rejected("sim", "restart_polcy");
+  // Settings the optimizer no longer has are unknown keys like any typo.
+  expect_unknown_key_rejected("optimizer", "lane_batch");
+  expect_unknown_key_rejected("optimizer", "prune");
 }
 
 TEST(ScenarioSpec, LegacyDistributionSectionStillParses) {

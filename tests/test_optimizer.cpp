@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "core/dauwe_kernel.h"
 #include "core/dauwe_model.h"
 #include "core/optimizer.h"
 #include "engine/evaluation.h"
@@ -146,43 +148,18 @@ TEST(Optimizer, ThrowsWhenEveryPlanIsInfeasible) {
   EXPECT_THROW(optimize_intervals(model, sys, opts), std::runtime_error);
 }
 
-TEST(Optimizer, FactoryOverloadMatchesModelOverloadExactly) {
-  // optimize_intervals_with is the hook the engine layer uses; a factory
-  // whose cost function simply calls the model must reproduce the model
-  // overload bit for bit — same plan, same expected time, and the same
-  // number of evaluations (proving identical sweep/pruning/refinement).
-  for (const char* name : {"M", "B", "D5"}) {
-    const auto sys = systems::table1_system(name);
-    const DauweModel model;
-    const SubsetEvaluatorFactory factory =
-        [&](const std::vector<int>& levels) -> PlanCostFn {
-      (void)levels;
-      return [&](const CheckpointPlan& plan) {
-        return model.expected_time(sys, plan);
-      };
-    };
-    const auto direct = optimize_intervals(model, sys);
-    const auto hooked = optimize_intervals_with(factory, sys);
-    EXPECT_EQ(direct.plan.tau0, hooked.plan.tau0) << name;
-    EXPECT_EQ(direct.plan.counts, hooked.plan.counts) << name;
-    EXPECT_EQ(direct.plan.levels, hooked.plan.levels) << name;
-    EXPECT_EQ(direct.expected_time, hooked.expected_time) << name;
-    EXPECT_EQ(direct.evaluations, hooked.evaluations) << name;
-  }
-}
-
 TEST(Optimizer, FactoryIsCalledOncePerLevelSubset) {
   const auto sys = systems::table1_system("B");  // 4 levels, suffix skipping
-  const DauweModel model;
+  std::vector<std::unique_ptr<const DauweKernel>> kernels;
   std::vector<std::vector<int>> subsets;
-  const SubsetEvaluatorFactory factory =
-      [&](const std::vector<int>& levels) -> PlanCostFn {
+  const SubsetKernelFactory factory =
+      [&](const std::vector<int>& levels) -> const DauweKernel& {
     subsets.push_back(levels);
-    return [&](const CheckpointPlan& plan) {
-      return model.expected_time(sys, plan);
-    };
+    kernels.push_back(
+        std::make_unique<const DauweKernel>(sys, levels, DauweOptions{}));
+    return *kernels.back();
   };
-  optimize_intervals_with(factory, sys);
+  optimize_intervals_staged(factory, sys);
   // Full hierarchy plus each suffix-skipped subset, each visited once.
   EXPECT_EQ(subsets.size(), 4u);
   for (std::size_t i = 1; i < subsets.size(); ++i) {
@@ -227,27 +204,8 @@ TEST(Optimizer, SweptPlusPrunedCoversTheFullCoarseLattice) {
   EXPECT_EQ(generic.pruned_feasibility, pruned.value());
   EXPECT_EQ(generic.pruned_bound, 0u);
 
-  // The structurally-identical staged path (lanes and pruning off)
-  // accounts for the identical lattice with identical counters.
-  OptimizerOptions exact = opts;
-  exact.lane_batch = false;
-  exact.prune = false;
-  obs::Counter staged_swept;
-  obs::Counter staged_pruned;
-  obs::Counter staged_pruned_bound;
-  metrics.plans_swept = &staged_swept;
-  metrics.plans_pruned = &staged_pruned;
-  metrics.plans_pruned_bound = &staged_pruned_bound;
-  exact.metrics = &metrics;
-  const engine::EvaluationEngine eng(sys);
-  eng.optimize(exact);
-  EXPECT_EQ(staged_swept.value(), swept.value());
-  EXPECT_EQ(staged_pruned.value(), pruned.value());
-  EXPECT_EQ(staged_pruned_bound.value(), 0u);
-
-  // The default lane-batched pruned sweep trades evaluations for bound
-  // cuts but still tiles the same lattice exactly — and returns the
-  // identical winner.
+  // The staged search trades evaluations for bound cuts but still tiles
+  // the same lattice exactly — and returns the identical winner.
   obs::Counter lane_swept;
   obs::Counter lane_pruned;
   obs::Counter lane_pruned_bound;
@@ -255,6 +213,7 @@ TEST(Optimizer, SweptPlusPrunedCoversTheFullCoarseLattice) {
   metrics.plans_pruned = &lane_pruned;
   metrics.plans_pruned_bound = &lane_pruned_bound;
   opts.metrics = &metrics;
+  const engine::EvaluationEngine eng(sys);
   const auto lanes = eng.optimize(opts);
   EXPECT_GT(lane_pruned_bound.value(), 0u);
   EXPECT_LT(lane_swept.value(), swept.value());

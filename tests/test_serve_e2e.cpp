@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -232,6 +233,39 @@ TEST(ServeE2E, ShutdownOpSignalsTheStopEventAndDrains) {
   // The owning loop's wakeup fires, and the server reports draining.
   EXPECT_TRUE(util::wait_readable(server.stop_event_fd(), 5000));
   EXPECT_TRUE(server.draining());
+  server.stop();
+}
+
+TEST(ServeE2E, NonFiniteResultIsANamedErrorAndNeverCached) {
+  // D3's level-0 failures over a nearly T_B-long interval overflow the
+  // forecast. The result document holds an infinity, whose dump ("inf")
+  // no JSON parser accepts.
+  const std::string request_text =
+      "{\"op\":\"predict\",\"system\":\"D3\","
+      "\"plan\":{\"tau0\":1400.0,\"levels\":[0],\"counts\":[]}}";
+  const Json direct =
+      serve::evaluate(serve::Request::parse(Json::parse(request_text)));
+  ASSERT_FALSE(std::isfinite(direct.at("expected_time").as_number()))
+      << "the chosen plan no longer overflows; the test would be vacuous";
+
+  serve::ServerOptions options;
+  options.socket_path = test_socket("nonfinite");
+  options.threads = 1;
+  serve::Server server(options);
+  {
+    // Twice: the second request would replay a cached "inf" text.
+    serve::Client client(options.socket_path);
+    for (int round = 0; round < 2; ++round) {
+      const Json response = Json::parse(client.call_raw(request_text));
+      EXPECT_FALSE(response.at("ok").as_bool()) << "round " << round;
+      EXPECT_EQ(response.at("error").at("code").as_string(),
+                "non_finite_result")
+          << "round " << round;
+    }
+  }
+  serve::Client client(options.socket_path);
+  const Json pong = Json::parse(client.call_raw("{\"op\":\"ping\"}"));
+  EXPECT_TRUE(pong.at("ok").as_bool());
   server.stop();
 }
 

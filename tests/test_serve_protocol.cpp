@@ -278,6 +278,26 @@ TEST(ServeProtocol, FuzzMalformedInputNeverKillsTheDaemon) {
   ping["op"] = Json("ping");
   const Json response = client.call(Json(std::move(ping)));
   EXPECT_TRUE(response.at("ok").as_bool());
+
+  // Settings the optimizer no longer has are unknown keys: a bad_request
+  // naming the key, in an optimize request and in a scenario spec alike.
+  for (const std::string key : {"lane_batch", "prune"}) {
+    const std::string optimizer = "{\"" + key + "\":false}";
+    for (const std::string& request :
+         {"{\"op\":\"optimize\",\"system\":\"D3\",\"optimizer\":" +
+              optimizer + "}",
+          "{\"op\":\"scenario\",\"spec\":{\"system\":\"D3\","
+          "\"optimizer\":" +
+              optimizer + "}}"}) {
+      const Json rejected = Json::parse(client.call_raw(request));
+      EXPECT_FALSE(rejected.at("ok").as_bool()) << request;
+      EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request")
+          << request;
+      EXPECT_NE(rejected.at("error").at("message").as_string().find(key),
+                std::string::npos)
+          << request;
+    }
+  }
   server.stop();
 }
 

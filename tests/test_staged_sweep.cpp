@@ -148,11 +148,6 @@ TEST(StagedSweep, StagedOptimizeBitMatchesGenericOnRandomSystems) {
   opts.coarse_tau_points = 16;
   opts.max_count = 12;
   opts.refine_rounds = 4;
-  // Structural identity (same leaves in the same order, equal evaluation
-  // counts) holds for the plain staged cursor; the lane-batched pruned
-  // sweep is covered by WinnerSurvivesLaneBatchingAndPruning below.
-  opts.lane_batch = false;
-  opts.prune = false;
   for (int trial = 0; trial < 12; ++trial) {
     const auto sys = random_system(rng);
     const DauweOptions model_opt = random_options(rng);
@@ -174,36 +169,32 @@ TEST(StagedSweep, StagedOptimizeBitMatchesGenericOnRandomSystems) {
     EXPECT_EQ(generic.expected_time, staged.expected_time)
         << "trial " << trial;
     EXPECT_EQ(generic.efficiency, staged.efficiency) << "trial " << trial;
-    EXPECT_EQ(generic.evaluations, staged.evaluations) << "trial " << trial;
+    EXPECT_LE(staged.evaluations, generic.evaluations) << "trial " << trial;
   }
 }
 
 TEST(StagedSweep, WinnerSurvivesLaneBatchingAndPruning) {
-  // The default staged path (8-lane batching + admissible subtree
-  // pruning) gives up sweep-order identity but NOT winner identity: the
-  // incumbent cut is strict, so every minimum-achieving leaf survives
-  // and the tie-broken winner is the same bit for bit. Evaluation counts
-  // shrink instead, and the difference must be exactly accounted by the
-  // two prune counters.
+  // The staged search (8-lane batching + admissible subtree pruning)
+  // gives up sweep-order identity with the per-plan overload but NOT
+  // winner identity: the incumbent cut is strict, so every
+  // minimum-achieving leaf survives and the tie-broken winner is the same
+  // bit for bit. Evaluation counts shrink instead, and the difference
+  // must be exactly accounted by the two prune counters.
   const std::uint64_t seed = testprop::suite_seed(kSeed ^ 0x4C414E45u);
   SCOPED_TRACE(testprop::repro(
       "StagedSweep.WinnerSurvivesLaneBatchingAndPruning", seed));
   std::mt19937_64 rng(seed);
-  OptimizerOptions exact;
-  exact.coarse_tau_points = 16;
-  exact.max_count = 12;
-  exact.refine_rounds = 4;
-  exact.lane_batch = false;
-  exact.prune = false;
-  OptimizerOptions pruned = exact;
-  pruned.lane_batch = true;
-  pruned.prune = true;
+  OptimizerOptions opts;
+  opts.coarse_tau_points = 16;
+  opts.max_count = 12;
+  opts.refine_rounds = 4;
 
-  const std::size_t rungs = count_ladder(exact.max_count).size();
+  const std::size_t rungs = count_ladder(opts.max_count).size();
   std::size_t bound_cuts = 0;
   for (int trial = 0; trial < 12; ++trial) {
     const auto sys = random_system(rng);
     const DauweOptions model_opt = random_options(rng);
+    const DauweModel model(model_opt);
 
     std::vector<std::unique_ptr<const DauweKernel>> kernels;
     const auto factory =
@@ -213,8 +204,8 @@ TEST(StagedSweep, WinnerSurvivesLaneBatchingAndPruning) {
       return *kernels.back();
     };
 
-    const auto a = optimize_intervals_staged(factory, sys, exact);
-    const auto b = optimize_intervals_staged(factory, sys, pruned);
+    const auto a = optimize_intervals(model, sys, opts);
+    const auto b = optimize_intervals_staged(factory, sys, opts);
     EXPECT_EQ(a.plan.tau0, b.plan.tau0) << "trial " << trial;
     EXPECT_EQ(a.plan.levels, b.plan.levels) << "trial " << trial;
     EXPECT_EQ(a.plan.counts, b.plan.counts) << "trial " << trial;
@@ -226,7 +217,7 @@ TEST(StagedSweep, WinnerSurvivesLaneBatchingAndPruning) {
     for (int dims = 0; dims < sys.levels(); ++dims) {
       std::size_t leaves = 1;
       for (int d = 0; d < dims; ++d) leaves *= rungs;
-      lattice += static_cast<std::size_t>(exact.coarse_tau_points) * leaves;
+      lattice += static_cast<std::size_t>(opts.coarse_tau_points) * leaves;
     }
     EXPECT_EQ(b.coarse_evaluations + b.pruned_feasibility + b.pruned_bound,
               lattice)
