@@ -1,21 +1,17 @@
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
+#include "app/telemetry.h"
 #include "engine/scenario.h"
 #include "exp/experiments.h"
 #include "exp/plot.h"
-#include "obs/exposition.h"
-#include "obs/registry.h"
-#include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "util/cli.h"
 #include "util/thread_pool.h"
 
@@ -27,31 +23,26 @@ namespace mlck::bench {
 /// --trials/--seed/--threads/--dist override them for quick runs or
 /// non-exponential stress studies, and --spec=file.json loads a whole
 /// scenario document (CLI flags still win afterwards).
-/// --metrics=file.json instruments the run (simulator + thread-pool
-/// counters; docs/OBSERVABILITY.md) and writes the sidecar when the
-/// config is destroyed, i.e. after the driver's sweep finishes.
-/// --trace=file.json likewise records host-side spans (pool tasks, and
-/// the optimizer/engine phases where the driver runs them through the
-/// spec) into a Chrome trace-event file on destruction.
+/// Telemetry is always on (simulator, optimizer and thread-pool counters;
+/// docs/OBSERVABILITY.md): the app::TelemetryScope flags
+/// (--metrics/--openmetrics/--timeline) choose the outputs, which are
+/// written when the config is destroyed, i.e. after the driver's sweep
+/// finishes. --trace=file.json likewise records host-side spans (pool
+/// tasks, and the optimizer/engine phases where the driver runs them
+/// through the spec) into a Chrome trace-event file on destruction.
 struct BenchConfig {
+  /// Declared before the pool, which holds pointers into its registry.
+  app::TelemetryScope telemetry;
   engine::ScenarioSpec spec;
   std::unique_ptr<util::ThreadPool> pool;
   exp::ExperimentOptions options;  ///< derived from spec; what drivers use
   bool csv = false;
   std::string plot_prefix;  ///< --plot=prefix writes prefix.dat/.gp
-  std::string metrics_path;  ///< --metrics=file writes the sidecar there
-  std::string trace_path;    ///< --trace=file writes the Chrome trace there
-  std::string timeline_path;     ///< --timeline=file writes sampled series
-  std::string openmetrics_path;  ///< --openmetrics=file, exposition text
-  std::vector<std::string> argv;  ///< original invocation, for `meta`
-  std::unique_ptr<obs::MetricsRegistry> registry;
+  std::string trace_path;   ///< --trace=file writes the Chrome trace there
   std::unique_ptr<obs::TraceSink> trace_sink;
-  std::unique_ptr<obs::TelemetrySampler> sampler;
-  /// Keeps the metric pointers installed in spec.sim / spec.optimizer /
-  /// the pool alive for the whole sweep.
-  std::unique_ptr<engine::ScenarioMetrics> wiring_;
 
-  explicit BenchConfig(const util::Cli& cli, std::size_t default_trials) {
+  explicit BenchConfig(const util::Cli& cli, std::size_t default_trials)
+      : telemetry(cli) {
     if (const auto path = cli.value("spec"); path && !path->empty()) {
       spec = engine::ScenarioSpec::load(*path);
     } else {
@@ -67,42 +58,17 @@ struct BenchConfig {
     }
     csv = cli.get_bool("csv", false);
     plot_prefix = cli.get_string("plot", "");
-    metrics_path = cli.get_string("metrics", "");
     trace_path = cli.get_string("trace", "");
-    timeline_path = cli.get_string("timeline", "");
-    openmetrics_path = cli.get_string("openmetrics", "");
-    argv = cli.raw_args();
-    const bool wants_registry = !metrics_path.empty() ||
-                                !timeline_path.empty() ||
-                                !openmetrics_path.empty();
-    const int threads = cli.get_int("threads", 0);
-    std::size_t workers = static_cast<std::size_t>(std::max(threads, 0));
-    if (workers == 0 && (wants_registry || !trace_path.empty())) {
-      // At least two workers for instrumented runs: a one-worker pool
-      // degrades to the sequential parallel_for path and would leave the
-      // pool.* metrics (and the per-worker span tracks) at zero.
-      workers = std::max(2u, std::thread::hardware_concurrency());
-    }
-    pool = std::make_unique<util::ThreadPool>(workers);
-    if (wants_registry) {
-      registry = std::make_unique<obs::MetricsRegistry>();
-      wiring_ = std::make_unique<engine::ScenarioMetrics>(*registry);
-      spec.sim.metrics = &wiring_->sim;
-      spec.optimizer.metrics = &wiring_->optimizer;
-      pool->attach_metrics(engine::pool_metrics(*registry));
-    }
+    pool = std::make_unique<util::ThreadPool>(
+        app::pool_width(cli.get_int("threads", 0)));
+    spec.sim.metrics = &telemetry.metrics().sim;
+    spec.optimizer.metrics = &telemetry.metrics().optimizer;
+    pool->attach_metrics(engine::pool_metrics(telemetry.registry()));
     if (!trace_path.empty()) {
       trace_sink = std::make_unique<obs::TraceSink>();
       trace_sink->name_current_thread("main");
       spec.optimizer.trace = trace_sink.get();
       pool->attach_trace(trace_sink.get());
-    }
-    if (!timeline_path.empty()) {
-      obs::TelemetrySampler::Options sampling;
-      sampling.period = std::chrono::milliseconds(
-          std::max(1, cli.get_int("sample-period-ms", 50)));
-      sampler = std::make_unique<obs::TelemetrySampler>(*registry, sampling);
-      sampler->start();
     }
 
     options.trials = spec.trials;
@@ -116,33 +82,11 @@ struct BenchConfig {
 
   ~BenchConfig() {
     // Best-effort sidecars; never fail the sweep's exit path.
-    if (sampler != nullptr) {
-      sampler->stop();
-      try {
-        std::ofstream out(timeline_path);
-        out << obs::timeline_jsonl(*sampler, argv);
-        std::cerr << "[mlck] wrote timeline " << timeline_path << " ("
-                  << sampler->ticks() << " ticks)\n";
-      } catch (...) {
-      }
+    try {
+      telemetry.flush(std::cerr);
+    } catch (...) {
     }
-    if (registry != nullptr && !openmetrics_path.empty()) {
-      try {
-        std::ofstream out(openmetrics_path);
-        out << obs::openmetrics_text(registry->snapshot());
-        std::cerr << "[mlck] wrote openmetrics " << openmetrics_path << "\n";
-      } catch (...) {
-      }
-    }
-    if (registry != nullptr && !metrics_path.empty()) {
-      try {
-        std::ofstream out(metrics_path);
-        out << obs::sidecar_json(*registry, argv).dump(2) << "\n";
-        std::cerr << "[mlck] wrote metrics sidecar " << metrics_path << "\n";
-      } catch (...) {
-      }
-    }
-    if (trace_sink != nullptr && !trace_path.empty()) {
+    if (trace_sink != nullptr) {
       try {
         // The pool must stop before the sink dies: workers hold the sink
         // pointer and may be mid-span.

@@ -1,11 +1,11 @@
 #include "app/commands.h"
+#include "app/telemetry.h"
 
 #include <algorithm>
 #include <csignal>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "core/adaptive.h"
 #include "core/dauwe_model.h"
@@ -23,7 +23,6 @@
 #include "obs/attribution.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/request.h"
@@ -88,70 +87,6 @@ std::optional<engine::DistributionSpec> law_from(const Cli& cli,
   return engine::DistributionSpec::parse(*text);
 }
 
-/// Flushes a metrics registry the way every command does: to the sidecar
-/// file named by --metrics=<path> (with the standard `meta` provenance
-/// section), or as tables after the report when the flag carries no path.
-void flush_metrics(const obs::MetricsRegistry& registry,
-                   const std::string& path, const Cli& cli,
-                   std::ostream& out) {
-  if (path.empty()) {
-    out << "\nmetrics\n";
-    registry.print(out);
-  } else {
-    core::write_file(
-        path, obs::sidecar_json(registry, cli.raw_args()).dump(2) + "\n");
-    out << "metrics written to " << path << "\n";
-  }
-}
-
-/// Sampler cadence from --sample-period-ms (default 50, floor 1).
-obs::TelemetrySampler::Options sampler_options_from(const Cli& cli) {
-  obs::TelemetrySampler::Options opts;
-  opts.period = std::chrono::milliseconds(
-      std::max(1, cli.get_int("sample-period-ms", 50)));
-  return opts;
-}
-
-/// True when the command should build a metrics registry even without
-/// --metrics: the OpenMetrics and timeline exports read one too.
-bool wants_registry(const Cli& cli) {
-  if (cli.has("metrics")) return true;
-  for (const char* flag : {"openmetrics", "timeline"}) {
-    if (const auto path = cli.value(flag); path.has_value()) {
-      if (path->empty()) {
-        throw std::out_of_range(std::string("--") + flag +
-                                " requires a file path (--" + flag +
-                                "=out." +
-                                (std::string(flag) == "timeline" ? "jsonl"
-                                                                 : "txt") +
-                                ")");
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Writes the --openmetrics and --timeline artifacts when requested.
-/// The sampler may be null (commands without a live timeline); the
-/// registry may not.
-void flush_exports(const obs::MetricsRegistry& registry,
-                   const obs::TelemetrySampler* sampler, const Cli& cli,
-                   std::ostream& out) {
-  if (const auto path = cli.value("openmetrics"); path && !path->empty()) {
-    core::write_file(*path, obs::openmetrics_text(registry.snapshot()));
-    out << "openmetrics written to " << *path << "\n";
-  }
-  if (const auto path = cli.value("timeline"); path && !path->empty()) {
-    if (sampler == nullptr) {
-      throw std::out_of_range("--timeline is not supported here");
-    }
-    core::write_file(*path, obs::timeline_jsonl(*sampler, cli.raw_args()));
-    out << "timeline written to " << *path << " (" << sampler->ticks()
-        << " ticks)\n";
-  }
-}
-
 int cmd_systems(std::ostream& out) {
   Table table({"name", "levels", "MTBF (min)", "base time (min)"});
   for (const auto& sys : systems::table1_systems()) {
@@ -165,17 +100,6 @@ int cmd_systems(std::ostream& out) {
 int cmd_show(const Cli& cli, std::ostream& out) {
   out << core::to_json(system_from(cli)).dump(2) << "\n";
   return 0;
-}
-
-/// The registry an instrumented optimize/predict reports into. The
-/// standard engine::ScenarioMetrics names are registered up front, so the
-/// sidecar has one shape for every technique and model: serve::evaluate
-/// wires these same counters for Dauwe, and the other models report
-/// zeros.
-std::unique_ptr<obs::MetricsRegistry> answer_registry() {
-  auto registry = std::make_unique<obs::MetricsRegistry>();
-  (void)engine::ScenarioMetrics(*registry);
-  return registry;
 }
 
 /// The --plan=<file> document (required).
@@ -244,26 +168,14 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
   }
   const std::string technique_name = cli.get_string("technique", "dauwe");
   const auto law = law_from(cli, technique_name, "technique");
-  const auto metrics_path = cli.value("metrics");
-
-  // At least two workers, so pool.* reflects the real parallel shape.
-  util::ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()));
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::TelemetrySampler> sampler;
-  if (wants_registry(cli)) {
-    registry = answer_registry();
-    pool.attach_metrics(engine::pool_metrics(*registry));
-    if (cli.has("timeline")) {
-      sampler = std::make_unique<obs::TelemetrySampler>(
-          *registry, sampler_options_from(cli));
-      sampler->start();
-    }
-  }
+  TelemetryScope telemetry(cli);
+  util::ThreadPool pool(pool_width(0));
+  pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
   core::TechniqueResult result;
   if (technique_name == "dauwe") {
     const util::Json answer = serve::evaluate(
         serve::Request::parse(dauwe_request(cli, "optimize")), &pool,
-        registry.get());
+        &telemetry.registry());
     result.technique = "Dauwe et al.";
     result.plan = core::plan_from_json(answer.at("plan"));
     result.predicted_time = answer.at("expected_time").as_number();
@@ -272,7 +184,6 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
     result = models::make_technique(technique_name)
                  ->select_plan(system_from(cli), &pool);
   }
-  if (sampler) sampler->stop();
   Table table({"field", "value"});
   table.add_row({"technique", result.technique});
   if (law) table.add_row({"failure law", law->to_string()});
@@ -286,10 +197,7 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
     core::write_file(*path, core::to_json(result.plan).dump(2) + "\n");
     out << "plan written to " << *path << "\n";
   }
-  if (registry) {
-    if (metrics_path) flush_metrics(*registry, *metrics_path, cli, out);
-    flush_exports(*registry, sampler.get(), cli, out);
-  }
+  telemetry.flush(out);
   return 0;
 }
 
@@ -299,10 +207,7 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
   }
   const std::string model_name = cli.get_string("model", "dauwe");
   const auto law = law_from(cli, model_name, "model");
-  const auto metrics_path = cli.value("metrics");
-
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  if (metrics_path) registry = answer_registry();
+  TelemetryScope telemetry(cli);
   core::CheckpointPlan plan;
   core::Prediction prediction;
   if (model_name == "dauwe") {
@@ -310,7 +215,7 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
         serve::Request::parse(dauwe_request(cli, "predict"));
     plan = request.plan;
     const util::Json answer =
-        serve::evaluate(request, nullptr, registry.get());
+        serve::evaluate(request, nullptr, &telemetry.registry());
     prediction.expected_time = answer.at("expected_time").as_number();
     prediction.efficiency = answer.at("efficiency").as_number();
   } else {
@@ -326,7 +231,7 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
                  Table::num(prediction.expected_time, 2)});
   table.add_row({"efficiency", Table::pct(prediction.efficiency)});
   table.print(out);
-  if (registry) flush_metrics(*registry, *metrics_path, cli, out);
+  telemetry.flush(out);
   return 0;
 }
 
@@ -509,54 +414,27 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   if (const auto seed = cli.value("seed"); seed) {
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   }
-  const auto metrics_path = cli.value("metrics");
   const auto trace_path = cli.value("trace");
   if (trace_path && trace_path->empty()) {
     throw std::out_of_range("--trace requires a file path "
                             "(--trace=trace.json)");
   }
-  const bool instrumented = wants_registry(cli);
-  std::unique_ptr<util::ThreadPool> pool;
-  // An observability run gets a pool even without --threads, so the
-  // pool.* metrics (and the per-worker trace tracks) reflect the real
-  // parallel execution shape (results are thread-count independent by
-  // design). At least two workers: a one-worker pool degrades to the
-  // sequential parallel_for path and would leave every pool.* metric at
-  // zero.
-  const bool observing = instrumented || trace_path.has_value();
-  if (const int threads = cli.get_int("threads", 0);
-      threads > 0 || observing) {
-    std::size_t workers = static_cast<std::size_t>(threads > 0 ? threads : 0);
-    if (workers == 0 && observing) {
-      workers = std::max(2u, std::thread::hardware_concurrency());
-    }
-    pool = std::make_unique<util::ThreadPool>(workers);
-  }
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::TelemetrySampler> sampler;
-  if (instrumented) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    if (pool) pool->attach_metrics(engine::pool_metrics(*registry));
-    if (cli.has("timeline")) {
-      sampler = std::make_unique<obs::TelemetrySampler>(
-          *registry, sampler_options_from(cli));
-      sampler->start();
-    }
-  }
+  TelemetryScope telemetry(cli);
+  util::ThreadPool pool(pool_width(cli.get_int("threads", 0)));
+  pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
   std::unique_ptr<obs::TraceSink> sink;
   sim::TrialTraceCapture capture;
   if (trace_path) {
     sink = std::make_unique<obs::TraceSink>();
     sink->name_current_thread("main");
-    if (pool) pool->attach_trace(sink.get());
+    pool.attach_trace(sink.get());
     capture.max_trials =
         static_cast<std::size_t>(cli.get_int("trace-trials", 8));
     spec.sim.capture = &capture;
   }
 
-  const auto outcome = engine::run_scenario(spec, pool.get(),
-                                            registry.get(), sink.get());
-  if (sampler) sampler->stop();
+  const auto outcome =
+      engine::run_scenario(spec, &pool, &telemetry.registry(), sink.get());
   const auto law = spec.distribution.make(spec.system);
   Table table({"field", "value"});
   table.add_row({"system", spec.system.name});
@@ -581,10 +459,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
                      core::to_json(outcome.selected.plan).dump(2) + "\n");
     out << "plan written to " << *path << "\n";
   }
-  if (registry) {
-    if (metrics_path) flush_metrics(*registry, *metrics_path, cli, out);
-    flush_exports(*registry, sampler.get(), cli, out);
-  }
+  telemetry.flush(out);
   if (sink) {
     core::write_file(
         *trace_path,
@@ -645,18 +520,11 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   const auto selected = technique.select_plan(system);
   sim::SimOptions opts = sim_options_from(cli);
 
-  // Instrumented runs wire the standard sim.* counters. They are
-  // recorded by the multi-trial runner's aggregation loop, so the
-  // single-trial path (--trials=1, which calls simulate() directly)
-  // reports them at zero.
-  const auto metrics_path = cli.value("metrics");
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<engine::ScenarioMetrics> wiring;
-  if (wants_registry(cli)) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    wiring = std::make_unique<engine::ScenarioMetrics>(*registry);
-    opts.metrics = &wiring->sim;
-  }
+  // The standard sim.* counters are recorded by the multi-trial runner's
+  // aggregation loop, so the single-trial path (--trials=1, which calls
+  // simulate() directly) reports them at zero.
+  TelemetryScope telemetry(cli);
+  opts.metrics = &telemetry.metrics().sim;
 
   sim::TrialTraceCapture capture;
   if (trials == 1) {
@@ -678,13 +546,6 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
     sim::run_trials(system, selected.plan, trials, seed, opts);
     opts.capture = nullptr;
   }
-
-  const auto flush_obs = [&] {
-    if (registry) {
-      if (metrics_path) flush_metrics(*registry, *metrics_path, cli, out);
-      flush_exports(*registry, nullptr, cli, out);
-    }
-  };
 
   int code = 0;
   if (cli.get_bool("audit", false)) {
@@ -717,7 +578,7 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
     } else {
       out << text;
     }
-    flush_obs();
+    telemetry.flush(out);
     return code;
   }
 
@@ -750,14 +611,13 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   out << "total " << Table::num(result.total_time, 1) << " min, efficiency "
       << Table::pct(result.efficiency()) << ", " << trace.size()
       << " events\n";
-  flush_obs();
+  telemetry.flush(out);
   return code;
 }
 
 int cmd_report(const Cli& cli, std::ostream& out) {
-  // Runs a scenario fully instrumented — metrics registry, trace sink,
-  // and telemetry sampler all attached — then joins span durations with
-  // the per-phase counters into the cost-attribution table. The run
+  // Runs a scenario with a trace sink attached, then joins span durations
+  // with the per-phase counters into the cost-attribution table. The run
   // itself is bit-identical to `mlck scenario` on the same spec
   // (instrumentation is observe-only).
   const auto spec_path = cli.value("spec");
@@ -772,24 +632,18 @@ int cmd_report(const Cli& cli, std::ostream& out) {
     spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   }
 
-  obs::MetricsRegistry registry;
+  TelemetryScope telemetry(cli);
   obs::TraceSink sink;
   sink.name_current_thread("main");
-  const int threads = cli.get_int("threads", 0);
-  util::ThreadPool pool(threads > 0
-                            ? static_cast<std::size_t>(threads)
-                            : std::max(2u, std::thread::hardware_concurrency()));
-  pool.attach_metrics(engine::pool_metrics(registry));
+  util::ThreadPool pool(pool_width(cli.get_int("threads", 0)));
+  pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
   pool.attach_trace(&sink);
-  obs::TelemetrySampler sampler(registry, sampler_options_from(cli));
-  sampler.start();
-  const auto outcome = engine::run_scenario(spec, &pool, &registry, &sink);
-  sampler.stop();
+  const auto outcome =
+      engine::run_scenario(spec, &pool, &telemetry.registry(), &sink);
 
-  const obs::RegistrySnapshot snapshot = registry.snapshot();
+  const obs::RegistrySnapshot snapshot = telemetry.registry().snapshot();
   const auto phases = obs::attribute_costs(sink.events(), snapshot);
-  out << "cost attribution (" << sink.size() << " spans, "
-      << sampler.ticks() << " sampler ticks)\n";
+  out << "cost attribution (" << sink.size() << " spans)\n";
   obs::print_attribution(out, phases);
   out << "plan " << outcome.selected.plan.to_string()
       << ", sim efficiency " << Table::pct(outcome.stats.efficiency.mean)
@@ -802,10 +656,7 @@ int cmd_report(const Cli& cli, std::ostream& out) {
     core::write_file(*path, doc.dump(2) + "\n");
     out << "report written to " << *path << "\n";
   }
-  if (const auto path = cli.value("metrics"); path) {
-    flush_metrics(registry, *path, cli, out);
-  }
-  flush_exports(registry, &sampler, cli, out);
+  telemetry.flush(out);
   return 0;
 }
 
@@ -906,17 +757,8 @@ int cmd_serve(const Cli& cli, std::ostream& out) {
   options.cache_capacity = static_cast<std::size_t>(
       std::max(0, cli.get_int("cache-capacity", 128)));
 
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::TelemetrySampler> sampler;
-  if (wants_registry(cli)) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    options.registry = registry.get();
-    if (cli.has("timeline")) {
-      sampler = std::make_unique<obs::TelemetrySampler>(
-          *registry, sampler_options_from(cli));
-      sampler->start();
-    }
-  }
+  TelemetryScope telemetry(cli);
+  options.registry = &telemetry.registry();
 
   // Self-pipe signal handling: the handler only writes a byte, the serve
   // loop below does all real work on the main thread.
@@ -949,22 +791,11 @@ int cmd_serve(const Cli& cli, std::ostream& out) {
   sigaction(SIGTERM, &old_term, nullptr);
   g_serve_signal_pipe = nullptr;
 
-  if (sampler) sampler->stop();
-  if (registry) {
-    if (const auto path = cli.value("metrics")) {
-      flush_metrics(*registry, *path, cli, out);
-    }
-    flush_exports(*registry, sampler.get(), cli, out);
-  }
+  telemetry.flush(out);
   out << "mlckd stopped\n";
   return code;
 }
 
-/// `--connect=<socket>` thin-client mode shared by optimize and predict:
-/// builds the request from the same flags the local path uses (the
-/// system resolves locally, so file-path systems work, and travels
-/// inline), round-trips it through the daemon, and renders the daemon's
-/// deterministic result fields.
 }  // namespace
 
 std::string usage() {

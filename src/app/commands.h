@@ -14,11 +14,9 @@ namespace mlck::app {
 ///   mlck systems
 ///   mlck show     --system=<name|file.json>
 ///   mlck optimize --system=... [--technique=dauwe] [--out=plan.json]
-///                 [--connect=<socket>]
-///                 [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
-///                 [--timeline=timeline.jsonl] [--sample-period-ms=50]
+///                 [--connect=<socket>] [telemetry]
 ///   mlck predict  --system=... --plan=plan.json [--model=dauwe]
-///                 [--connect=<socket>] [--metrics[=metrics.json]]
+///                 [--connect=<socket>] [telemetry]
 ///   mlck simulate --system=... (--plan=plan.json | --technique=dauwe |
 ///                 --intervals=schedule.json) [--adaptive]
 ///                 [--trials=200] [--seed=1] [--policy=retry|escalate]
@@ -27,24 +25,38 @@ namespace mlck::app {
 ///   mlck sensitivity --system=... [--technique=dauwe]
 ///   mlck trace    --system=... [--seed=4] [--max-events=40] [--trials=1]
 ///                 [--format=table|chrome|jsonl] [--audit] [--out=trace.json]
-///                 [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
+///                 [telemetry]
 ///   mlck scenario --spec=scenario.json [--trials=...] [--seed=...]
 ///                 [--threads=0] [--out=plan.json]
-///                 [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
-///                 [--timeline=timeline.jsonl] [--sample-period-ms=50]
-///                 [--trace=trace.json] [--trace-trials=8]
+///                 [--trace=trace.json] [--trace-trials=8] [telemetry]
 ///   mlck scenario --system=... --emit-spec[=scenario.json]
 ///   mlck report   --spec=scenario.json [--trials=...] [--seed=...]
-///                 [--threads=0] [--json=report.json]
-///                 [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
-///                 [--timeline=timeline.jsonl] [--sample-period-ms=50]
+///                 [--threads=0] [--json=report.json] [telemetry]
 ///   mlck selftest [--cases=200] [--seed=42] [--case=K]
 ///                 [--trials=200] [--welch-systems=8] [--alpha=0.01]
 ///                 [--welch-gate] [--threads=0] [--out=report.json]
 ///   mlck serve    --socket=<path> [--threads=0] [--queue-limit=64]
-///                 [--cache-capacity=128] [--metrics[=metrics.json]]
-///                 [--openmetrics=metrics.txt] [--timeline=timeline.jsonl]
-///                 [--sample-period-ms=50]
+///                 [--cache-capacity=128] [telemetry]
+///
+///   telemetry:    [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
+///                 [--timeline=timeline.jsonl] [--sample-period-ms=50]
+///
+/// Telemetry is always on (app::TelemetryScope, app/telemetry.h): the
+/// six commands marked [telemetry] own one metrics registry for the run,
+/// and the shared flags only choose the outputs. `--metrics=file.json`
+/// writes an observability sidecar (engine cache, optimizer sweep,
+/// simulator, and thread-pool counters; schema and metric names in
+/// docs/OBSERVABILITY.md) after the report; with no file the metrics
+/// tables are printed instead. `--openmetrics=file.txt` writes the final
+/// values in the OpenMetrics / Prometheus text exposition format.
+/// `--timeline=file.jsonl` runs an obs::TelemetrySampler for the
+/// duration of the run and writes the sampled per-metric time series —
+/// cumulative values plus derived rates — as JSON Lines;
+/// `--sample-period-ms` sets its cadence. Outputs are written in that
+/// order (metrics, openmetrics, timeline). All of it is observe-only:
+/// results are identical with and without any flag. Commands with a pool
+/// size it by one rule: `--threads` when positive, else at least two
+/// workers (app::pool_width).
 ///
 /// `serve` runs mlckd, the persistent advisory daemon: a Unix-domain
 /// socket speaking a length-prefixed JSON protocol (docs/SERVING.md).
@@ -74,12 +86,6 @@ namespace mlck::app {
 /// plan selection through the cached evaluation engine, then Monte-Carlo
 /// validation under the spec's failure distribution. `--emit-spec` writes
 /// a complete spec document for the given system to start from.
-/// `--metrics=file.json` (on `scenario`, `optimize`, and `predict`)
-/// writes an observability sidecar (engine cache, optimizer sweep,
-/// simulator, and thread-pool counters; schema and metric names in
-/// docs/OBSERVABILITY.md) next to the results; with no file the metrics
-/// tables are printed after the report. Instrumentation is observe-only:
-/// results are identical with and without it.
 ///
 /// `scenario --trace=trace.json` writes a Chrome trace-event JSON file
 /// (loadable in Perfetto / chrome://tracing) with host-side spans — plan
@@ -87,16 +93,7 @@ namespace mlck::app {
 /// track per pool worker, plus the event streams of the first
 /// `--trace-trials` simulated trials, one track per trial.
 ///
-/// `--openmetrics=file.txt` (on `scenario`, `optimize`, `trace`, and
-/// `report`) writes the final metric values in the OpenMetrics /
-/// Prometheus text exposition format. `--timeline=file.jsonl` (on
-/// `scenario`, `optimize`, and `report`) attaches a background
-/// obs::TelemetrySampler for the duration of the run and writes the
-/// sampled per-metric time series — cumulative values plus derived
-/// rates — as JSON Lines; `--sample-period-ms` sets its cadence. Both
-/// are observe-only like `--metrics`.
-///
-/// `report` runs a scenario spec fully instrumented and prints the
+/// `report` runs a scenario spec with a trace sink attached and prints the
 /// per-phase cost attribution: wall time per span name (self vs nested
 /// child time) joined with the phase's unit-of-work counter into an
 /// events/sec throughput column (docs/OBSERVABILITY.md, "Cost

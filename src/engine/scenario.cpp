@@ -23,28 +23,6 @@ Json::Array levels_to_json(const std::vector<int>& levels) {
   return out;
 }
 
-/// Strict-parsing guard: every (de)serialized section rejects keys it
-/// does not understand, so a typo'd field ("trails", "tau_mim") fails
-/// loudly instead of silently running the default configuration.
-void require_known_keys(const Json& doc, const char* context,
-                        std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : doc.as_object()) {
-    bool recognized = false;
-    for (const char* k : known) {
-      if (key == k) {
-        recognized = true;
-        break;
-      }
-    }
-    if (recognized) continue;
-    std::string message = "unknown key \"" + key + "\" in " + context +
-                          " (known keys:";
-    for (const char* k : known) message += std::string(" ") + k;
-    message += ")";
-    throw std::invalid_argument(message);
-  }
-}
-
 std::vector<int> levels_from_json(const Json& doc) {
   std::vector<int> out;
   for (const auto& item : doc.as_array()) {
@@ -197,6 +175,25 @@ sim::SimOptions sim_from_json(const Json& doc) {
 }
 
 }  // namespace
+
+void require_known_keys(const Json& doc, const std::string& context,
+                        std::initializer_list<const char*> known) {
+  for (const auto& [key, value] : doc.as_object()) {
+    bool recognized = false;
+    for (const char* k : known) {
+      if (key == k) {
+        recognized = true;
+        break;
+      }
+    }
+    if (recognized) continue;
+    std::string message = "unknown key \"" + key + "\" in " + context +
+                          " (known keys:";
+    for (const char* k : known) message += std::string(" ") + k;
+    message += ")";
+    throw std::invalid_argument(message);
+  }
+}
 
 double DistributionSpec::resolved_mean(double system_mtbf) const {
   if (mean > 0.0) return mean;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
@@ -124,6 +125,15 @@ struct ScenarioSpec {
   /// Convenience: parse/serialize whole files.
   static ScenarioSpec load(const std::string& path);
 };
+
+/// Strict-parsing guard shared by the scenario parser and the mlckd
+/// request envelopes: any key of @p doc outside @p known throws
+/// std::invalid_argument naming the key, @p context (the section, or the
+/// request op) and the known keys, so a typo'd field ("trails",
+/// "tau_mim") fails loudly instead of silently running the default
+/// configuration.
+void require_known_keys(const util::Json& doc, const std::string& context,
+                        std::initializer_list<const char*> known);
 
 /// Result of driving one scenario end to end.
 struct ScenarioOutcome {

@@ -25,26 +25,6 @@ Op op_from_name(const std::string& name) {
       "\" (use ping|stats|shutdown|optimize|predict|scenario)");
 }
 
-/// Same strictness rule as the scenario parser: any key outside @p known
-/// is an error naming the key, never silently ignored.
-void require_keys(const Json& doc, const char* context,
-                  std::initializer_list<const char*> known) {
-  for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known) {
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::invalid_argument(std::string("request: unknown key \"") +
-                                  key + "\" for op " + context);
-    }
-  }
-}
-
 /// Resolves the request "system" member into @p spec. Named systems go
 /// through the Table I registry only — core::load_system's path fallback
 /// would turn a request string into a server-side file read.
@@ -159,19 +139,21 @@ Request Request::parse(const Json& doc) {
     case Op::kPing:
     case Op::kStats:
     case Op::kShutdown:
-      require_keys(doc, op_name(request.op), {"op", "id"});
+      engine::require_known_keys(
+          doc, std::string("request op ") + op_name(request.op),
+          {"op", "id"});
       break;
     case Op::kOptimize:
-      require_keys(doc, "optimize",
-                   {"op", "id", "system", "model_options", "failure",
-                    "optimizer"});
+      engine::require_known_keys(doc, "request op optimize",
+                                 {"op", "id", "system", "model_options",
+                                  "failure", "optimizer"});
       request.spec = spec_from_sections(doc);
       request.spec.validate();
       break;
     case Op::kPredict: {
-      require_keys(doc, "predict",
-                   {"op", "id", "system", "model_options", "failure",
-                    "optimizer", "plan"});
+      engine::require_known_keys(doc, "request op predict",
+                                 {"op", "id", "system", "model_options",
+                                  "failure", "optimizer", "plan"});
       request.spec = spec_from_sections(doc);
       request.spec.validate();
       const Json* plan = doc.find("plan");
@@ -183,7 +165,8 @@ Request Request::parse(const Json& doc) {
       break;
     }
     case Op::kScenario: {
-      require_keys(doc, "scenario", {"op", "id", "spec"});
+      engine::require_known_keys(doc, "request op scenario",
+                                 {"op", "id", "spec"});
       const Json* spec = doc.find("spec");
       if (spec == nullptr) {
         throw std::invalid_argument("request: scenario requires \"spec\"");

@@ -25,17 +25,6 @@ Json id_of(const Json& doc) {
 
 }  // namespace
 
-/// Private metric storage for registry-less servers: the same shape the
-/// registry would own, so the wiring code is identical either way.
-struct Server::OwnMetrics {
-  obs::Counter requests, errors, rejected_queue_full, rejected_draining,
-      coalesced, jobs_executed, connections, cache_hits, cache_misses,
-      cache_evictions;
-  obs::Gauge connections_open, queue_depth, queue_depth_high_water,
-      cache_size;
-  obs::Histogram request_latency_ns, job_latency_ns;
-};
-
 ServeMetrics serve_metrics(obs::MetricsRegistry& registry) {
   ServeMetrics m;
   m.requests = &registry.counter("serve.requests");
@@ -60,32 +49,16 @@ ServeMetrics serve_metrics(obs::MetricsRegistry& registry) {
 
 Server::Server(const ServerOptions& options)
     : options_(options),
+      own_registry_(options.registry == nullptr
+                        ? std::make_unique<obs::MetricsRegistry>()
+                        : nullptr),
+      registry_(options.registry == nullptr ? *own_registry_
+                                            : *options.registry),
+      metrics_(serve_metrics(registry_)),
       listener_(util::UnixListener::bind(options.socket_path)),
       pool_(options.threads),
       cache_(options.cache_capacity) {
-  if (options_.registry != nullptr) {
-    metrics_ = serve_metrics(*options_.registry);
-    pool_.attach_metrics(engine::pool_metrics(*options_.registry));
-  } else {
-    own_metrics_ = std::make_unique<OwnMetrics>();
-    OwnMetrics& own = *own_metrics_;
-    metrics_.requests = &own.requests;
-    metrics_.errors = &own.errors;
-    metrics_.rejected_queue_full = &own.rejected_queue_full;
-    metrics_.rejected_draining = &own.rejected_draining;
-    metrics_.coalesced = &own.coalesced;
-    metrics_.jobs_executed = &own.jobs_executed;
-    metrics_.connections = &own.connections;
-    metrics_.connections_open = &own.connections_open;
-    metrics_.queue_depth = &own.queue_depth;
-    metrics_.queue_depth_high_water = &own.queue_depth_high_water;
-    metrics_.request_latency_ns = &own.request_latency_ns;
-    metrics_.job_latency_ns = &own.job_latency_ns;
-    metrics_.cache.hits = &own.cache_hits;
-    metrics_.cache.misses = &own.cache_misses;
-    metrics_.cache.evictions = &own.cache_evictions;
-    metrics_.cache.size = &own.cache_size;
-  }
+  pool_.attach_metrics(engine::pool_metrics(registry_));
   cache_.attach_metrics(metrics_.cache);
   executor_thread_ = std::thread([this] { executor_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -126,10 +99,12 @@ void Server::stop() {
       borrowed.release();
     }
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (auto& [index, thread] : conn_threads_) {
+    (void)index;
+    thread.join();
   }
   conn_threads_.clear();
+  finished_conns_.clear();
 }
 
 void Server::accept_loop() {
@@ -137,13 +112,26 @@ void Server::accept_loop() {
     util::Fd fd = listener_.accept();
     if (!fd.valid()) return;  // listener shut down
     metrics_.connections->add();
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    const std::size_t index = next_conn_++;
-    open_fds_[index] = fd.get();
-    metrics_.connections_open->set(static_cast<double>(open_fds_.size()));
-    conn_threads_.emplace_back(
-        [this, index](util::Fd conn) { connection_loop(std::move(conn), index); },
-        std::move(fd));
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex_);
+      // Reap the threads that have left connection_loop, so a long-lived
+      // daemon holds one thread (and stack) per open connection only.
+      for (const std::size_t done : finished_conns_) {
+        finished.push_back(std::move(conn_threads_.extract(done).mapped()));
+      }
+      finished_conns_.clear();
+      const std::size_t index = next_conn_++;
+      open_fds_[index] = fd.get();
+      metrics_.connections_open->set(static_cast<double>(open_fds_.size()));
+      conn_threads_.emplace(
+          index, std::thread(
+                     [this, index](util::Fd conn) {
+                       connection_loop(std::move(conn), index);
+                     },
+                     std::move(fd)));
+    }
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -202,9 +190,10 @@ void Server::connection_loop(util::Fd fd, std::size_t index) {
   }
   {
     // Unregister before the descriptor dies so stop() never shuts down a
-    // recycled fd number.
+    // recycled fd number, and hand the thread to the next accept's reap.
     std::lock_guard<std::mutex> lock(conn_mutex_);
     open_fds_.erase(index);
+    finished_conns_.push_back(index);
     metrics_.connections_open->set(static_cast<double>(open_fds_.size()));
   }
 }
@@ -323,7 +312,7 @@ void Server::executor_loop() {
     std::string code, message;
     try {
       obs::ScopedTimer timer(metrics_.job_latency_ns);
-      result = evaluate(job.request, &pool_, options_.registry);
+      result = evaluate(job.request, &pool_, &registry_);
     } catch (const std::invalid_argument& e) {
       ok = false;
       code = "bad_request";

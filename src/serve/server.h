@@ -20,9 +20,9 @@
 namespace mlck::serve {
 
 /// The serve.* metric set (docs/OBSERVABILITY.md). Pointers follow the
-/// codebase-wide contract: non-owning, never null inside a running Server
-/// (the server wires them to a registry or to privately-owned instances,
-/// so the `stats` op always has values to report).
+/// codebase-wide contract: non-owning, and never null inside a running
+/// Server, which always resolves them against a registry (the attached
+/// one or its own), so the `stats` op always has values to report.
 struct ServeMetrics {
   obs::Counter* requests = nullptr;        ///< frames answered (ok or error)
   obs::Counter* errors = nullptr;          ///< error responses sent
@@ -52,10 +52,10 @@ struct ServerOptions {
   /// with a "queue_full" error instead of admitted.
   std::size_t queue_limit = 64;
   std::size_t cache_capacity = 128;
-  /// When non-null, the server wires serve.* / pool.* (and the per-job
-  /// engine.*, optimizer.*, sim.* scenario names) into this registry; the
-  /// registry must outlive the server. Null keeps metrics private to the
-  /// `stats` op.
+  /// The registry the server wires serve.* / pool.* (and the per-job
+  /// engine.*, optimizer.*, sim.* scenario names) into; it must outlive
+  /// the server. Null gives the server a private registry of its own,
+  /// wired the same way, which only the `stats` op reads.
   obs::MetricsRegistry* registry = nullptr;
 };
 
@@ -161,15 +161,14 @@ class Server {
                       std::string code, std::string message);
 
   ServerOptions options_;
+  /// Backs registry_ when options_.registry is null.
+  std::unique_ptr<obs::MetricsRegistry> own_registry_;
+  obs::MetricsRegistry& registry_;
+  ServeMetrics metrics_;
   util::UnixListener listener_;
   util::ThreadPool pool_;
   PlanCache cache_;
   util::Pipe stop_event_;
-
-  /// Locally-owned metric storage used when no registry is attached.
-  struct OwnMetrics;
-  std::unique_ptr<OwnMetrics> own_metrics_;
-  ServeMetrics metrics_;
 
   std::atomic<bool> draining_{false};
   std::mutex stop_mutex_;  ///< serializes stop() callers
@@ -184,7 +183,11 @@ class Server {
 
   std::mutex conn_mutex_;
   std::map<std::size_t, int> open_fds_;  ///< connection index -> raw fd
-  std::vector<std::thread> conn_threads_;
+  /// Connection index -> its thread, until the thread is reaped.
+  std::map<std::size_t, std::thread> conn_threads_;
+  /// Indices whose thread has left connection_loop; the next accept (or
+  /// stop()) joins them.
+  std::vector<std::size_t> finished_conns_;
   std::size_t next_conn_ = 0;
 
   std::thread accept_thread_;

@@ -1,18 +1,25 @@
 #!/bin/sh
 # Byte-identity gate on local CLI answers.
 #
-#   cli_golden.sh <mlck> <workdir>             print the transcript
-#   cli_golden.sh <mlck> <workdir> <golden>    diff it against <golden>
+#   cli_golden.sh <mlck> <workdir> <section>             print the transcript
+#   cli_golden.sh <mlck> <workdir> <section> <golden>    diff it against <golden>
 #
-# The transcript holds `mlck optimize --system=S [--law=L] --out=plan.json`,
-# the plan file it wrote, and `mlck predict` on that plan, for every Table I
-# system in {B, M, D1, D3, D5, D7, D9} under the exponential (no flag),
-# Weibull and log-normal laws.
+# Sections:
+#   7x3             `mlck optimize --system=S [--law=L] --out=plan.json`, the
+#                   plan file it wrote, and `mlck predict` on that plan, for
+#                   every Table I system in {B, M, D1, D3, D5, D7, D9} under
+#                   the exponential (no flag), Weibull and log-normal laws.
+#   scenario_trace  `mlck scenario` on every examples/*.json spec (one of
+#                   them again with the --metrics/--openmetrics exports, which
+#                   pins the order of the notice lines), then `mlck trace`
+#                   as a four-trial audit and as a single-trial table.
 set -u
 mlck=$1
 work=$2
-golden=${3:-}
+section=$3
+golden=${4:-}
 
+examples=$(cd "$(dirname "$0")/../../examples" && pwd) || exit 1
 case $mlck in /*) ;; *) mlck=$PWD/$mlck ;; esac
 if [ -n "$golden" ]; then
   golden=$(cd "$(dirname "$golden")" && pwd)/$(basename "$golden") || exit 1
@@ -20,7 +27,7 @@ fi
 mkdir -p "$work" || exit 1
 cd "$work" || exit 1
 
-transcript() {
+transcript_7x3() {
   for system in B M D1 D3 D5 D7 D9; do
     for law in "" "weibull:shape=0.7" "lognormal:sigma=1.0"; do
       law_flag=${law:+--law=$law}
@@ -37,9 +44,33 @@ transcript() {
   done
 }
 
+# Prints "$ mlck <args>", runs it, and prints its exit code.
+run() {
+  echo "\$ mlck $*"
+  "$mlck" "$@" 2>&1
+  echo "[exit $?]"
+}
+
+transcript_scenario_trace() {
+  for spec in "$examples"/*.json; do
+    run scenario --spec="$spec" --trials=50 |
+      sed "s|$examples/|examples/|"
+  done
+  rm -f m.json m.txt
+  run scenario --spec="$examples/scenario_b_weibull.json" --trials=50 \
+      --metrics=m.json --openmetrics=m.txt | sed "s|$examples/|examples/|"
+  run trace --system=B --trials=4 --audit
+  run trace --system=D3
+}
+
+case $section in
+  7x3|scenario_trace) ;;
+  *) echo "unknown section: $section (use 7x3|scenario_trace)" >&2; exit 2 ;;
+esac
+
 if [ -z "$golden" ]; then
-  transcript
+  "transcript_$section"
   exit 0
 fi
-transcript > transcript.txt
-diff -u "$golden" transcript.txt
+"transcript_$section" > "transcript_$section.txt"
+diff -u "$golden" "transcript_$section.txt"

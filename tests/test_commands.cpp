@@ -268,10 +268,99 @@ TEST(Commands, ScenarioOpenMetricsAndTimelineExports) {
   std::filesystem::remove(tl);
 }
 
+TEST(Commands, TelemetryFlagsWriteEveryExportAndObserveOnly) {
+  // Every command with telemetry shares one flag set, and telemetry is
+  // observe-only: the exports only append notices (or, for a bare
+  // --metrics, the metric tables) after the unchanged report.
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto spec = (dir / "mlck_cmd_tel_spec.json").string();
+  const auto plan = (dir / "mlck_cmd_tel_plan.json").string();
+  const auto sidecar = (dir / "mlck_cmd_tel_metrics.json").string();
+  const auto om = (dir / "mlck_cmd_tel.om").string();
+  const auto tl = (dir / "mlck_cmd_tel.jsonl").string();
+  ASSERT_EQ(run({"scenario", "--system=B", "--emit-spec=" + spec}).code, 0);
+  ASSERT_EQ(run({"optimize", "--system=D5", "--out=" + plan}).code, 0);
+
+  const std::vector<std::vector<std::string>> commands = {
+      {"optimize", "--system=D6"},
+      {"predict", "--system=D5", "--plan=" + plan},
+      {"scenario", "--spec=" + spec, "--trials=20", "--seed=5"},
+      {"trace", "--system=B", "--trials=4"},
+  };
+  for (const auto& command : commands) {
+    SCOPED_TRACE(command[0]);
+    const auto bare = run(command);
+    ASSERT_EQ(bare.code, 0) << bare.err;
+
+    auto tables = command;
+    tables.push_back("--metrics");
+    const auto printed = run(tables);
+    ASSERT_EQ(printed.code, 0) << printed.err;
+    EXPECT_EQ(printed.out.substr(0, bare.out.size()), bare.out);
+    EXPECT_EQ(printed.out.substr(bare.out.size(), 9), "\nmetrics\n");
+
+    for (const auto& path : {sidecar, om, tl}) std::filesystem::remove(path);
+    auto exported = command;
+    exported.insert(exported.end(),
+                    {"--metrics=" + sidecar, "--openmetrics=" + om,
+                     "--timeline=" + tl, "--sample-period-ms=1"});
+    const auto with_exports = run(exported);
+    ASSERT_EQ(with_exports.code, 0) << with_exports.err;
+    EXPECT_EQ(with_exports.err, "");
+    EXPECT_EQ(with_exports.out.substr(0, bare.out.size()), bare.out);
+    // One fixed order: metrics, then openmetrics, then timeline.
+    const std::string notices = "metrics written to " + sidecar +
+                                "\nopenmetrics written to " + om +
+                                "\ntimeline written to " + tl + " (";
+    EXPECT_EQ(with_exports.out.substr(bare.out.size(), notices.size()),
+              notices);
+
+    // One sidecar shape: the scenario metric names are always registered.
+    const auto doc = util::Json::parse(core::read_file(sidecar));
+    EXPECT_GE(doc.at("meta").at("schema_version").as_number(), 2.0);
+    EXPECT_NE(doc.at("counters").find("sim.trials"), nullptr);
+    EXPECT_NE(doc.at("counters").find("optimizer.plans_swept"), nullptr);
+
+    const std::string text = core::read_file(om);
+    EXPECT_NE(text.find("# TYPE mlck_sim_trials counter"), std::string::npos);
+    ASSERT_GE(text.size(), 6u);
+    EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+
+    const std::string jsonl = core::read_file(tl);
+    const auto nl = jsonl.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    const auto meta = util::Json::parse(jsonl.substr(0, nl));
+    EXPECT_EQ(meta.at("kind").as_string(), "timeline_meta");
+    EXPECT_GE(meta.at("ticks").as_number(), 1.0);
+  }
+  for (const auto& path : {spec, plan, sidecar, om, tl}) {
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(Commands, ExportFlagsRequireAPath) {
-  const auto r = run({"optimize", "--system=B", "--openmetrics"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("--openmetrics"), std::string::npos);
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto spec = (dir / "mlck_cmd_export_spec.json").string();
+  const auto plan = (dir / "mlck_cmd_export_plan.json").string();
+  ASSERT_EQ(run({"scenario", "--system=B", "--emit-spec=" + spec}).code, 0);
+  ASSERT_EQ(run({"optimize", "--system=B", "--out=" + plan}).code, 0);
+  const std::vector<std::vector<std::string>> commands = {
+      {"optimize", "--system=B"},
+      {"predict", "--system=B", "--plan=" + plan},
+      {"report", "--spec=" + spec, "--trials=5"},
+  };
+  for (const auto& command : commands) {
+    for (const std::string flag : {"--openmetrics", "--timeline"}) {
+      auto args = command;
+      args.push_back(flag);
+      const auto r = run(args);
+      EXPECT_EQ(r.code, 2) << command[0] << " " << flag;
+      EXPECT_NE(r.err.find(flag + " requires a file path"), std::string::npos)
+          << r.err;
+    }
+  }
+  std::filesystem::remove(spec);
+  std::filesystem::remove(plan);
 }
 
 TEST(Commands, ReportJoinsSpansWithCounters) {

@@ -382,6 +382,15 @@ TEST(ScenarioSpec, RejectsTypoedKeysNamingKeyAndSection) {
   // Settings the optimizer no longer has are unknown keys like any typo.
   expect_unknown_key_rejected("optimizer", "lane_batch");
   expect_unknown_key_rejected("optimizer", "prune");
+  // The same checker guards the mlckd request envelopes, naming the op.
+  try {
+    require_known_keys(util::Json::parse("{\"op\":\"ping\",\"flux\":1}"),
+                       "request op ping", {"op", "id"});
+    FAIL() << "unknown key \"flux\" in request op ping was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "unknown key \"flux\" in request op ping (known keys: op id)");
+  }
 }
 
 TEST(ScenarioSpec, LegacyDistributionSectionStillParses) {

@@ -269,6 +269,59 @@ TEST(ServeE2E, NonFiniteResultIsANamedErrorAndNeverCached) {
   server.stop();
 }
 
+/// Virtual address space of this process in KiB (VmSize in
+/// /proc/self/status). Every unjoined thread keeps its stack mapped, so
+/// this is where leaked connection threads show.
+long vm_size_kib() {
+  std::istringstream status(core::read_file("/proc/self/status"));
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+TEST(ServeE2E, FinishedConnectionThreadsAreReapedBeforeStop) {
+  obs::MetricsRegistry registry;
+  serve::ServerOptions options;
+  options.socket_path = test_socket("reap");
+  options.threads = 1;
+  options.registry = &registry;
+  serve::Server server(options);
+
+  // Each connection is closed and its thread has left connection_loop
+  // before the next one opens, so connection threads never overlap: a
+  // loaded machine cannot pile up live threads (or malloc arenas) that
+  // would blur the address-space measurement.
+  const obs::Gauge& open = registry.gauge("serve.connections_open");
+  const auto wait_all_closed = [&open] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (open.value() != 0.0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return open.value() == 0.0;
+  };
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 1000; ++i) {
+    {
+      serve::Client client(options.socket_path);
+      const Json pong =
+          Json::parse(client.call_raw("{\"op\":\"ping\"}"));
+      ASSERT_TRUE(pong.at("ok").as_bool()) << "connection " << i;
+    }
+    ASSERT_TRUE(wait_all_closed()) << "connection " << i;
+  }
+  // A thread whose stack were kept until stop() would cost a default
+  // stack (8 MiB on glibc) per connection, about 8 GiB here.
+  EXPECT_LT(vm_size_kib() - before, 256L * 1024);
+  EXPECT_EQ(open.value(), 0.0);
+  EXPECT_EQ(registry.counter("serve.connections").value(), 1000u);
+  server.stop();
+}
+
 /// Joins the daemon thread even when an assertion or exception unwinds
 /// the test body early: best-effort `shutdown` op first so the join
 /// cannot hang, then join — a failing test reports as a failure instead

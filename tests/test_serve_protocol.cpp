@@ -279,6 +279,22 @@ TEST(ServeProtocol, FuzzMalformedInputNeverKillsTheDaemon) {
   const Json response = client.call(Json(std::move(ping)));
   EXPECT_TRUE(response.at("ok").as_bool());
 
+  // An unknown envelope key is a bad_request naming the key and the op.
+  for (const std::string op :
+       {"ping", "stats", "shutdown", "optimize", "predict", "scenario"}) {
+    const Json rejected = Json::parse(
+        client.call_raw("{\"op\":\"" + op + "\",\"flux\":1}"));
+    EXPECT_FALSE(rejected.at("ok").as_bool()) << op;
+    EXPECT_EQ(rejected.at("error").at("code").as_string(), "bad_request")
+        << op;
+    const std::string message =
+        rejected.at("error").at("message").as_string();
+    EXPECT_NE(message.find("unknown key \"flux\" in request op " + op),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_FALSE(server.draining());  // the rejected shutdown stopped nothing
+
   // Settings the optimizer no longer has are unknown keys: a bad_request
   // naming the key, in an optimize request and in a scenario spec alike.
   for (const std::string key : {"lane_batch", "prune"}) {
