@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -22,7 +23,9 @@ namespace mlck::bench {
 /// point by each driver). Defaults reproduce the paper's settings;
 /// --trials/--seed/--threads/--dist override them for quick runs or
 /// non-exponential stress studies, and --spec=file.json loads a whole
-/// scenario document (CLI flags still win afterwards).
+/// scenario document (CLI flags still win afterwards). --dist takes the
+/// `mlck --law` grammar, exponential | weibull:shape=K | lognormal:sigma=S
+/// with optional ,mean=M / ,scale=S; a malformed value exits 2.
 /// Telemetry is always on (simulator, optimizer and thread-pool counters;
 /// docs/OBSERVABILITY.md): the app::TelemetryScope flags
 /// (--metrics/--openmetrics/--timeline) choose the outputs, which are
@@ -54,7 +57,12 @@ struct BenchConfig {
     spec.seed = static_cast<std::uint64_t>(
         cli.get_int("seed", static_cast<int>(spec.seed)));
     if (const auto dist = cli.value("dist"); dist && !dist->empty()) {
-      spec.distribution = parse_distribution(*dist);
+      try {
+        spec.distribution = engine::DistributionSpec::parse(*dist);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "--dist: " << e.what() << "\n";
+        std::exit(2);
+      }
     }
     csv = cli.get_bool("csv", false);
     plot_prefix = cli.get_string("plot", "");
@@ -115,30 +123,6 @@ struct BenchConfig {
     point.system = system;
     point.system_ref.clear();
     return exp::options_from(point, pool.get(), distribution_storage);
-  }
-
-  /// Parses --dist=exponential | weibull[:shape] | lognormal[:sigma].
-  static engine::DistributionSpec parse_distribution(
-      const std::string& text) {
-    engine::DistributionSpec dist;
-    const auto colon = text.find(':');
-    const std::string kind = text.substr(0, colon);
-    const std::string param =
-        colon == std::string::npos ? "" : text.substr(colon + 1);
-    if (kind == "exponential") {
-      dist.kind = engine::DistributionSpec::Kind::kExponential;
-    } else if (kind == "weibull") {
-      dist.kind = engine::DistributionSpec::Kind::kWeibull;
-      if (!param.empty()) dist.shape = std::stod(param);
-    } else if (kind == "lognormal") {
-      dist.kind = engine::DistributionSpec::Kind::kLogNormal;
-      if (!param.empty()) dist.sigma = std::stod(param);
-    } else {
-      throw std::invalid_argument(
-          "unknown --dist (use exponential|weibull[:shape]|"
-          "lognormal[:sigma]): " + text);
-    }
-    return dist;
   }
 
   /// Writes <prefix>.dat and <prefix>.gp so `gnuplot <prefix>.gp` renders

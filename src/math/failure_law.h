@@ -89,8 +89,7 @@ class FailureLaw {
   /// distribution() in law to table accuracy but are NOT the same stream
   /// of bits — LogNormal's Box-Muller sampler even consumes a different
   /// number of uniforms — so validation paths that pin seeded results
-  /// keep using distribution(); throughput paths (bench_sim's tabulated
-  /// lanes) opt in here.
+  /// keep using distribution(); throughput-bound callers opt in here.
   virtual std::unique_ptr<FailureDistribution> sampling_distribution(
       double mean) const {
     return distribution(mean);

@@ -158,8 +158,7 @@ class TabulatedLaw {
 /// Opt-in by design: sampled *values* agree with the law only to table
 /// accuracy (docs/MODELS.md), so the default simulation paths keep the
 /// closed-form samplers and their bit-pinned draw streams; callers choose
-/// the table lane explicitly (FailureLaw::sampling_distribution,
-/// bench_sim's tabulated lanes).
+/// the table lane explicitly (FailureLaw::sampling_distribution).
 class TabulatedDistribution final : public FailureDistribution {
  public:
   /// The law of scale * T for the tabulated T. @p table must be non-null;

@@ -9,7 +9,7 @@ namespace mlck::sim {
 // case, operation for operation. Any change to the engine's no-failure
 // arithmetic (phase ordering, the at_end tolerance, the accumulation
 // order) must be reflected here; the batch-vs-reference identity tests
-// and bench_sim's gate catch a divergence on the first trial.
+// (BatchIdentity.*) catch a divergence on the first trial.
 NoFailureTrajectory::NoFailureTrajectory(const systems::SystemConfig& system,
                                          const CompiledSchedule& schedule,
                                          const SimOptions& options) {

@@ -177,8 +177,7 @@ class NoFailureTrajectory;
 /// per-event draw inlines. Results are bit-identical to the
 /// plan/interval/adaptive overloads above, which are now thin wrappers
 /// that compile the schedule per call; callers running many trials
-/// against one schedule (sim::run_trials, bench_sim) compile once and use
-/// these.
+/// against one schedule (sim::run_trials) compile once and use these.
 ///
 /// @p fast, when non-null and applicable (see sim/fast_forward.h), lets
 /// the trial jump over the uninterrupted prefix before its first failure

@@ -13,11 +13,10 @@
 /// The simulation engine as it stood before the batch-oriented rewrite,
 /// preserved verbatim: per-segment std::function schedule dispatch, a
 /// virtual FailureSource::next() per event, per-trial severity-CDF and
-/// checkpoint-slot allocations. It is the timing baseline for
-/// bench_sim.cpp and the oracle for the bit-identity gate — the batch
-/// engine must reproduce this engine's run_trials output byte for byte on
-/// equal seeds. Mirrors the cached tier kept in bench_optimizer for the
-/// sweep. Not for production use; deliberately never optimized.
+/// checkpoint-slot allocations. It is the oracle for the bit-identity gate
+/// (test_batch_engine) — the batch engine must reproduce this engine's
+/// run_trials output byte for byte on equal seeds. Not for production
+/// use; deliberately never optimized.
 namespace mlck::sim::reference {
 
 /// Pre-rewrite single-trial engine, pattern-plan schedule.

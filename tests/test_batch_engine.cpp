@@ -9,7 +9,9 @@
 
 #include "core/adaptive.h"
 #include "core/interval_schedule.h"
+#include "core/optimizer.h"
 #include "core/plan.h"
+#include "engine/evaluation.h"
 #include "math/failure_law.h"
 #include "prop_support.h"
 #include "sim/compiled_schedule.h"
@@ -21,7 +23,7 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
-// The batch engine's contract (bench_sim's gate, docs/PERFORMANCE.md):
+// The batch engine's contract (docs/PERFORMANCE.md):
 // byte-identical results to the frozen reference engine on equal seeds.
 // These tests pin that contract — every comparison below is exact ==,
 // never EXPECT_NEAR.
@@ -79,8 +81,12 @@ void expect_same_stats(const TrialStats& a, const TrialStats& b) {
   EXPECT_EQ(a.efficiency_quantiles.p95, b.efficiency_quantiles.p95);
   EXPECT_EQ(a.time_shares.useful, b.time_shares.useful);
   EXPECT_EQ(a.time_shares.checkpoint_ok, b.time_shares.checkpoint_ok);
+  EXPECT_EQ(a.time_shares.checkpoint_failed, b.time_shares.checkpoint_failed);
   EXPECT_EQ(a.time_shares.restart_ok, b.time_shares.restart_ok);
+  EXPECT_EQ(a.time_shares.restart_failed, b.time_shares.restart_failed);
   EXPECT_EQ(a.time_shares.rework_compute, b.time_shares.rework_compute);
+  EXPECT_EQ(a.time_shares.rework_checkpoint, b.time_shares.rework_checkpoint);
+  EXPECT_EQ(a.time_shares.rework_restart, b.time_shares.rework_restart);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +302,40 @@ TEST(BatchIdentity, RenewalProcessMatchesReferenceFieldForField) {
   const TrialStats ref =
       reference::run_trials_with_distribution(sys, plan, *dist, 48, 7);
   expect_same_stats(batch, ref);
+}
+
+TEST(BatchIdentity, TableOneSystemsMatchReferenceUnderEveryLaw) {
+  // The full gate: seven Table I systems x {exponential, Weibull,
+  // log-normal}, pooled, at each system's optimized plan, 200 trials.
+  // The renewal lanes use the closed-form samplers, whose draw streams
+  // the reference engine shares.
+  util::ThreadPool pool(4);
+  core::OptimizerOptions plan_search;
+  plan_search.coarse_tau_points = 24;
+  const auto weibull = math::FailureLaw::weibull(0.7);
+  const auto lognormal = math::FailureLaw::lognormal(1.0);
+  constexpr std::size_t kTrials = 200;
+  constexpr std::uint64_t kSeed = 20180521;
+  for (const char* name : {"B", "M", "D1", "D3", "D5", "D7", "D9"}) {
+    const auto sys = systems::table1_system(name);
+    const auto plan =
+        engine::EvaluationEngine(sys).optimize(plan_search, &pool).plan;
+    {
+      SCOPED_TRACE(::testing::Message() << name << " exponential");
+      expect_same_stats(run_trials(sys, plan, kTrials, kSeed, {}, &pool),
+                        reference::run_trials(sys, plan, kTrials, kSeed, {},
+                                              &pool));
+    }
+    for (const auto* law : {weibull.get(), lognormal.get()}) {
+      SCOPED_TRACE(::testing::Message() << name << " " << law->describe());
+      const auto dist = law->distribution(sys.mtbf);
+      expect_same_stats(
+          run_trials_with_distribution(sys, plan, *dist, kTrials, kSeed, {},
+                                       &pool),
+          reference::run_trials_with_distribution(sys, plan, *dist, kTrials,
+                                                  kSeed, {}, &pool));
+    }
+  }
 }
 
 TEST(BatchIdentity, CaptureDoesNotPerturbResults) {

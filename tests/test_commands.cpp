@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <map>
+#include <regex>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "app/commands.h"
 #include "core/serialize.h"
@@ -240,32 +247,80 @@ TEST(Commands, ScenarioOpenMetricsAndTimelineExports) {
   const auto spec = (dir / "mlck_cmd_scn_obs_spec.json").string();
   const auto om = (dir / "mlck_cmd_scn_obs.om").string();
   const auto tl = (dir / "mlck_cmd_scn_obs.jsonl").string();
+  const auto sidecar = (dir / "mlck_cmd_scn_obs_metrics.json").string();
   ASSERT_EQ(run({"scenario", "--system=B", "--emit-spec=" + spec}).code, 0);
   const auto bare =
       run({"scenario", "--spec=" + spec, "--trials=20", "--seed=5"});
   ASSERT_EQ(bare.code, 0) << bare.err;
   const auto exported = run({"scenario", "--spec=" + spec, "--trials=20",
-                             "--seed=5", "--openmetrics=" + om,
-                             "--timeline=" + tl, "--sample-period-ms=1"});
+                             "--seed=5", "--metrics=" + sidecar,
+                             "--openmetrics=" + om, "--timeline=" + tl,
+                             "--sample-period-ms=1"});
   ASSERT_EQ(exported.code, 0) << exported.err;
   // Observe-only: the exports only append notices after the report.
   EXPECT_EQ(exported.out.substr(0, bare.out.size()), bare.out);
 
   const std::string text = core::read_file(om);
   EXPECT_NE(text.find("# TYPE mlck_sim_trials counter"), std::string::npos);
-  EXPECT_NE(text.find("mlck_sim_trials_total"), std::string::npos);
+  EXPECT_TRUE(std::regex_search(
+      text, std::regex(R"((^|\n)mlck_sim_trials_total \d+\n)")));
   ASSERT_GE(text.size(), 6u);
   EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
+  // Every histogram family is cumulative and closes with an +Inf bucket
+  // equal to its _count.
+  const std::regex bucket_line(R"re((\w+)_bucket\{le="([^"]+)"\} (\d+))re");
+  const std::regex count_line(R"((\w+)_count (\d+))");
+  std::map<std::string, std::vector<std::pair<std::string, std::uint64_t>>>
+      buckets;
+  std::map<std::string, std::uint64_t> counts;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (std::regex_match(line, m, bucket_line)) {
+      buckets[m[1]].emplace_back(m[2], std::stoull(m[3]));
+    } else if (std::regex_match(line, m, count_line)) {
+      counts[m[1]] = std::stoull(m[2]);
+    }
+  }
+  ASSERT_FALSE(buckets.empty());
+  for (const auto& [family, rows] : buckets) {
+    SCOPED_TRACE(family);
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_LE(rows[i - 1].second, rows[i].second);
+    }
+    EXPECT_EQ(rows.back().first, "+Inf");
+    ASSERT_EQ(counts.count(family), 1u);
+    EXPECT_EQ(rows.back().second, counts.at(family));
+  }
 
-  const std::string jsonl = core::read_file(tl);
-  const auto nl = jsonl.find('\n');
-  ASSERT_NE(nl, std::string::npos);
-  const auto meta = util::Json::parse(jsonl.substr(0, nl));
+  const auto sidecar_meta =
+      util::Json::parse(core::read_file(sidecar)).at("meta");
+  EXPECT_EQ(sidecar_meta.at("schema_version").as_number(), 2.0);
+  EXPECT_TRUE(std::regex_match(
+      sidecar_meta.at("written_at").as_string(),
+      std::regex(R"(\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z)")));
+  EXPECT_EQ(sidecar_meta.at("argv").at(0).as_string(), "mlck");
+  EXPECT_GT(sidecar_meta.at("metric_count").as_number(), 0.0);
+
+  // Timeline: a meta header, then one point or hist object per line.
+  std::istringstream jsonl(core::read_file(tl));
+  std::string header;
+  ASSERT_TRUE(std::getline(jsonl, header));
+  const auto meta = util::Json::parse(header);
   EXPECT_EQ(meta.at("kind").as_string(), "timeline_meta");
+  EXPECT_EQ(meta.at("schema_version").as_number(), 2.0);
   EXPECT_GE(meta.at("ticks").as_number(), 1.0);
+  bool any_point = false;
+  for (std::string line; std::getline(jsonl, line);) {
+    const std::string kind = util::Json::parse(line).at("kind").as_string();
+    EXPECT_TRUE(kind == "point" || kind == "hist") << kind;
+    any_point = any_point || kind == "point";
+  }
+  EXPECT_TRUE(any_point);
   std::filesystem::remove(spec);
   std::filesystem::remove(om);
   std::filesystem::remove(tl);
+  std::filesystem::remove(sidecar);
 }
 
 TEST(Commands, TelemetryFlagsWriteEveryExportAndObserveOnly) {
@@ -412,7 +467,13 @@ TEST(Commands, ScenarioTraceWritesChromeFileAndKeepsResults) {
   EXPECT_EQ(traced.out.substr(0, bare.out.size()), bare.out);
   EXPECT_NE(traced.out.find("2 captured trials"), std::string::npos);
   const auto doc = util::Json::parse(core::read_file(trace));
-  EXPECT_FALSE(doc.at("traceEvents").as_array().empty());
+  const auto& events = doc.at("traceEvents").as_array();
+  EXPECT_FALSE(events.empty());
+  // At least one complete ("X") span, not only instants and metadata.
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const auto& e) {
+    const auto* ph = e.find("ph");
+    return ph != nullptr && ph->as_string() == "X";
+  }));
   std::filesystem::remove(spec);
   std::filesystem::remove(trace);
 }

@@ -156,22 +156,60 @@ core::OptimizerOptions quick_search() {
   return opts;
 }
 
+/// The coarse lattice both searches must tile exactly: tau points x
+/// ladder^dims, summed over the level subsets the default search visits
+/// (the full hierarchy plus each skipped suffix).
+std::size_t coarse_lattice(const systems::SystemConfig& system,
+                           const core::OptimizerOptions& opts) {
+  const std::size_t rungs = core::count_ladder(opts.max_count).size();
+  std::size_t lattice = 0;
+  std::size_t leaves = 1;
+  for (int dims = 0; dims < system.levels(); ++dims) {
+    lattice += static_cast<std::size_t>(opts.coarse_tau_points) * leaves;
+    leaves *= rungs;
+  }
+  return lattice;
+}
+
+std::size_t accounted(const core::OptimizationResult& result) {
+  return result.coarse_evaluations + result.pruned_feasibility +
+         result.pruned_bound;
+}
+
 TEST(EngineGolden, OptimizeBitMatchesOptimizeIntervalsOnAllSystems) {
-  for (const char* name : kAllSystems) {
-    const auto sys = systems::table1_system(name);
-    const DauweModel model;
-    const EvaluationEngine engine(sys);
-    const auto opts = quick_search();
-    const auto direct = core::optimize_intervals(model, sys, opts);
-    // The engine's staged search (lane-batched, pruned) keeps the winner
-    // bit-identical while evaluating fewer leaves.
-    const auto pruned = engine.optimize(opts);
-    EXPECT_EQ(direct.plan.tau0, pruned.plan.tau0) << name;
-    EXPECT_EQ(direct.plan.counts, pruned.plan.counts) << name;
-    EXPECT_EQ(direct.plan.levels, pruned.plan.levels) << name;
-    EXPECT_EQ(direct.expected_time, pruned.expected_time) << name;
-    EXPECT_EQ(direct.efficiency, pruned.efficiency) << name;
-    EXPECT_LE(pruned.evaluations, direct.evaluations) << name;
+  // Two inputs: the reduced search serially, and the default search on a
+  // 24-point tau grid on a pool.
+  util::ThreadPool pool(4);
+  core::OptimizerOptions coarse_grid;
+  coarse_grid.coarse_tau_points = 24;
+  const struct {
+    const char* label;
+    core::OptimizerOptions opts;
+    util::ThreadPool* pool;
+  } inputs[] = {{"quick, serial", quick_search(), nullptr},
+                {"24 tau points, pooled", coarse_grid, &pool}};
+  for (const auto& input : inputs) {
+    for (const char* name : kAllSystems) {
+      SCOPED_TRACE(::testing::Message() << name << " " << input.label);
+      const auto sys = systems::table1_system(name);
+      const DauweModel model;
+      const EvaluationEngine engine(sys);
+      const auto direct =
+          core::optimize_intervals(model, sys, input.opts, input.pool);
+      // The engine's staged search (lane-batched, pruned) keeps the
+      // winner bit-identical while evaluating fewer leaves.
+      const auto pruned = engine.optimize(input.opts, input.pool);
+      EXPECT_EQ(direct.plan.tau0, pruned.plan.tau0);
+      EXPECT_EQ(direct.plan.counts, pruned.plan.counts);
+      EXPECT_EQ(direct.plan.levels, pruned.plan.levels);
+      EXPECT_EQ(direct.expected_time, pruned.expected_time);
+      EXPECT_EQ(direct.efficiency, pruned.efficiency);
+      EXPECT_LE(pruned.evaluations, direct.evaluations);
+      // Swept plus pruned leaves tile the whole coarse lattice.
+      const std::size_t lattice = coarse_lattice(sys, input.opts);
+      EXPECT_EQ(accounted(direct), lattice);
+      EXPECT_EQ(accounted(pruned), lattice);
+    }
   }
 }
 

@@ -208,7 +208,7 @@ TEST(TabulatedSampling, GoldenDrawStreamsAreStable) {
 TEST(TabulatedSampling, TabulatedWeibullTracksTheClosedFormDrawForDraw) {
   // Same uniform convention (one uniform_pos, survival side), so on a
   // shared stream the table reproduces the closed-form draws to table
-  // accuracy — the property bench_sim's tabulated lane leans on.
+  // accuracy — the property a tabulated simulation run leans on.
   const auto closed = FailureLaw::weibull(0.7)->distribution(250.0);
   const auto table = FailureLaw::weibull(0.7)->sampling_distribution(250.0);
   const std::uint64_t seed = testprop::suite_seed(0xacc7ull);
