@@ -19,11 +19,10 @@ DauweKernel::DauweKernel(const systems::SystemConfig& system,
                          const DauweOptions& options,
                          std::shared_ptr<const math::FailureLaw> law)
     : base_time_(system.base_time), options_(options) {
-  // Null or explicit-exponential law selects the closed-form fast path:
-  // no primitive is ever built and every term below computes through the
-  // exact same math/exponential.h calls as the law-less kernel, so the
-  // default model stays bit-identical.
-  const bool generalized = !math::is_exponential_family(law.get());
+  // A null (exponential) law selects the closed-form fast path: no
+  // primitive is ever built and every term below computes through the
+  // math/exponential.h calls, so the default model stays bit-identical.
+  const bool generalized = law != nullptr;
   const EffectiveSystem eff = make_effective(system, levels);
   scratch_lambda_ = eff.scratch_lambda;
   level_.reserve(eff.level.size());

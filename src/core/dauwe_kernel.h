@@ -71,10 +71,9 @@ class DauweKernel {
 
   /// Precomputes the invariants for plans over @p levels (ascending,
   /// unique, valid system level indices, size 1..kDauweMaxLevels). When
-  /// @p law names a non-exponential family, every per-level retry /
-  /// truncated-mean term is served by that family's primitives at the
-  /// corresponding effective rate; a null or exponential @p law selects
-  /// the closed-form fast path, bit-identical to the law-less kernel.
+  /// @p law is non-null, every per-level retry / truncated-mean term is
+  /// served by that family's primitives at the corresponding effective
+  /// rate; a null (exponential) @p law selects the closed-form fast path.
   DauweKernel(const systems::SystemConfig& system,
               const std::vector<int>& levels, const DauweOptions& options,
               std::shared_ptr<const math::FailureLaw> law = nullptr);

@@ -58,9 +58,8 @@ class DauweModel : public ExecutionTimeModel {
   /// @p law generalizes the failure process beyond the paper's
   /// exponential assumption (Sec. III derives the recursion "for a chosen
   /// probability density function"): per-severity rates from the system
-  /// config pick each level's family member (mean 1 / rate). Null or an
-  /// explicit exponential family keeps the closed-form fast path,
-  /// bit-identical to the law-less model.
+  /// config pick each level's family member (mean 1 / rate). Null (the
+  /// exponential law) keeps the closed-form fast path.
   explicit DauweModel(DauweOptions options = {},
                       std::shared_ptr<const math::FailureLaw> law =
                           nullptr) noexcept

@@ -61,7 +61,7 @@ struct EvaluationContext {
 class EvaluationEngine {
  public:
   /// @p law threads a failure-law family into every cached kernel (see
-  /// DauweKernel); null or exponential keeps the bit-identical fast path.
+  /// DauweKernel); null (exponential) keeps the closed-form fast path.
   explicit EvaluationEngine(systems::SystemConfig system,
                             core::DauweOptions options = {},
                             std::shared_ptr<const math::FailureLaw> law =

@@ -65,9 +65,13 @@ std::string param_to_string(double value) {
   return buf;
 }
 
-/// Shared strictness for parse() and the JSON forms: parameters must be
-/// positive where given, shape/sigma must match the law, and mean/scale
-/// are mutually exclusive ways to set the time scale.
+/// The key list parse() and from_json() name when they reject a key.
+constexpr const char* kLawKeys =
+    " (use shape [weibull] | sigma [lognormal] | mean | scale)";
+
+/// Shared strictness for parse() and from_json(), which themselves reject
+/// a shape/sigma of another law: parameters must be positive where given,
+/// and mean/scale are mutually exclusive ways to set the time scale.
 void check_distribution_spec(const DistributionSpec& spec,
                              const char* context) {
   const auto fail = [context](const std::string& what) {
@@ -269,9 +273,9 @@ DistributionSpec DistributionSpec::parse(const std::string& text) {
       } else if (key == "scale") {
         spec.scale = value;
       } else {
-        throw std::invalid_argument(
-            "failure law \"" + text + "\": unknown key \"" + key +
-            "\" (use shape [weibull] | sigma [lognormal] | mean | scale)");
+        throw std::invalid_argument("failure law \"" + text +
+                                    "\": unknown key \"" + key + "\"" +
+                                    kLawKeys);
       }
     }
   }
@@ -301,23 +305,23 @@ DistributionSpec DistributionSpec::from_json(const Json& doc) {
   require_known_keys(doc, "scenario.failure",
                      {"law", "shape", "sigma", "mean", "scale"});
   if (const Json* v = doc.find("law")) spec.kind = kind_from_name(v->as_string());
-  if (const Json* v = doc.find("shape")) spec.shape = v->as_number();
-  if (const Json* v = doc.find("sigma")) spec.sigma = v->as_number();
+  // As in parse(), shape belongs to Weibull and sigma to log-normal; a
+  // parameter of another law is rejected, never silently ignored.
+  const auto law_param = [&](const char* key, Kind owner, double& field) {
+    const Json* v = doc.find(key);
+    if (v == nullptr) return;
+    if (spec.kind != owner) {
+      throw std::invalid_argument(
+          std::string("scenario.failure: unknown key \"") + key +
+          "\" for law " + kind_name(spec.kind) + kLawKeys);
+    }
+    field = v->as_number();
+  };
+  law_param("shape", Kind::kWeibull, spec.shape);
+  law_param("sigma", Kind::kLogNormal, spec.sigma);
   if (const Json* v = doc.find("mean")) spec.mean = v->as_number();
   if (const Json* v = doc.find("scale")) spec.scale = v->as_number();
   check_distribution_spec(spec, "scenario.failure");
-  return spec;
-}
-
-DistributionSpec DistributionSpec::from_legacy_json(const Json& doc) {
-  DistributionSpec spec;
-  require_known_keys(doc, "scenario.distribution",
-                     {"kind", "shape", "sigma", "mean"});
-  if (const Json* v = doc.find("kind")) spec.kind = kind_from_name(v->as_string());
-  if (const Json* v = doc.find("shape")) spec.shape = v->as_number();
-  if (const Json* v = doc.find("sigma")) spec.sigma = v->as_number();
-  if (const Json* v = doc.find("mean")) spec.mean = v->as_number();
-  check_distribution_spec(spec, "scenario.distribution");
   return spec;
 }
 
@@ -345,7 +349,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& doc) {
   ScenarioSpec spec;
   require_known_keys(doc, "scenario",
                      {"system", "model", "model_options", "failure",
-                      "distribution", "optimizer", "trials", "seed", "sim"});
+                      "optimizer", "trials", "seed", "sim"});
   if (const Json* sys = doc.find("system")) {
     if (sys->is_string()) {
       spec.system_ref = sys->as_string();
@@ -357,18 +361,8 @@ ScenarioSpec ScenarioSpec::from_json(const Json& doc) {
   if (const Json* v = doc.find("model")) spec.model = v->as_string();
   if (const Json* v = doc.find("model_options"))
     spec.model_options = model_options_from_json(*v);
-  const Json* failure = doc.find("failure");
-  const Json* legacy = doc.find("distribution");
-  if (failure != nullptr && legacy != nullptr) {
-    throw std::invalid_argument(
-        "scenario: give either \"failure\" or the legacy \"distribution\" "
-        "section, not both");
-  }
-  if (failure != nullptr) {
-    spec.distribution = DistributionSpec::from_json(*failure);
-  } else if (legacy != nullptr) {
-    spec.distribution = DistributionSpec::from_legacy_json(*legacy);
-  }
+  if (const Json* v = doc.find("failure"))
+    spec.distribution = DistributionSpec::from_json(*v);
   if (const Json* v = doc.find("optimizer"))
     spec.optimizer = optimizer_from_json(*v);
   if (const Json* v = doc.find("trials"))

@@ -73,11 +73,9 @@ struct DistributionSpec {
 
   /// Canonical JSON form, the scenario "failure" section:
   ///   {"law": "weibull", "shape": 0.7, "scale": 120}
-  /// (keys law, shape, sigma, mean, scale; same strictness as parse()).
+  /// (keys law, shape, sigma, mean, scale; same strictness as parse(),
+  /// so shape is Weibull-only and sigma log-normal-only).
   static DistributionSpec from_json(const util::Json& doc);
-  /// Legacy "distribution" section ({kind, shape, sigma, mean}), still
-  /// accepted on input; to_json() always emits the "failure" form.
-  static DistributionSpec from_legacy_json(const util::Json& doc);
   util::Json to_json() const;
 };
 

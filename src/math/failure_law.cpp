@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "math/exponential.h"
-#include "math/retry.h"
-
 namespace mlck::math {
 
 namespace {
@@ -52,31 +49,12 @@ class ScaledTabulatedPrimitive final : public LawPrimitive {
   double scale_;
 };
 
-class ExponentialLaw final : public FailureLaw {
- public:
-  Kind kind() const noexcept override { return Kind::kExponential; }
-
-  std::shared_ptr<const LawPrimitive> primitive(double rate) const override {
-    require_positive_rate(rate);
-    return std::make_shared<ExponentialPrimitive>(rate);
-  }
-
-  std::unique_ptr<FailureDistribution> distribution(
-      double mean) const override {
-    return std::make_unique<Exponential>(1.0 / mean);
-  }
-
-  std::string describe() const override { return "exponential"; }
-};
-
 class WeibullLaw final : public FailureLaw {
  public:
   explicit WeibullLaw(double shape)
       : shape_(shape),
         unit_(std::make_shared<TabulatedLaw>(Weibull::with_mean(1.0, shape))) {
   }
-
-  Kind kind() const noexcept override { return Kind::kWeibull; }
 
   std::shared_ptr<const LawPrimitive> primitive(double rate) const override {
     require_positive_rate(rate);
@@ -86,12 +64,6 @@ class WeibullLaw final : public FailureLaw {
   std::unique_ptr<FailureDistribution> distribution(
       double mean) const override {
     return std::make_unique<Weibull>(Weibull::with_mean(mean, shape_));
-  }
-
-  std::unique_ptr<FailureDistribution> sampling_distribution(
-      double mean) const override {
-    // The unit-mean table scales to any mean; one uniform per draw.
-    return std::make_unique<TabulatedDistribution>(unit_, mean);
   }
 
   std::string describe() const override {
@@ -112,8 +84,6 @@ class LogNormalLaw final : public FailureLaw {
         unit_(std::make_shared<TabulatedLaw>(
             LogNormal::with_mean(1.0, sigma))) {}
 
-  Kind kind() const noexcept override { return Kind::kLogNormal; }
-
   std::shared_ptr<const LawPrimitive> primitive(double rate) const override {
     require_positive_rate(rate);
     return std::make_shared<ScaledTabulatedPrimitive>(unit_, 1.0 / rate);
@@ -122,13 +92,6 @@ class LogNormalLaw final : public FailureLaw {
   std::unique_ptr<FailureDistribution> distribution(
       double mean) const override {
     return std::make_unique<LogNormal>(LogNormal::with_mean(mean, sigma_));
-  }
-
-  std::unique_ptr<FailureDistribution> sampling_distribution(
-      double mean) const override {
-    // Replaces the Box-Muller pair (log+sqrt+cos per draw, two uniforms)
-    // with one table lookup on one uniform.
-    return std::make_unique<TabulatedDistribution>(unit_, mean);
   }
 
   std::string describe() const override {
@@ -143,32 +106,6 @@ class LogNormalLaw final : public FailureLaw {
 };
 
 }  // namespace
-
-double ExponentialPrimitive::failure_probability(double t) const noexcept {
-  return math::failure_probability(t, rate_);
-}
-
-double ExponentialPrimitive::survival(double t) const noexcept {
-  return math::survival(t, rate_);
-}
-
-double ExponentialPrimitive::truncated_mean(double t) const noexcept {
-  return math::truncated_mean(t, rate_);
-}
-
-double ExponentialPrimitive::expected_retries(double t) const noexcept {
-  return math::expected_retries(t, rate_);
-}
-
-std::string ExponentialPrimitive::describe() const {
-  std::ostringstream os;
-  os << "exponential(mean=" << 1.0 / rate_ << ")";
-  return os.str();
-}
-
-std::shared_ptr<const FailureLaw> FailureLaw::exponential() {
-  return std::make_shared<ExponentialLaw>();
-}
 
 std::shared_ptr<const FailureLaw> FailureLaw::weibull(double shape) {
   return std::make_shared<WeibullLaw>(shape);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "math/integrate.h"
 
@@ -18,6 +16,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Floor for the stored logs: exp(-745) is the smallest positive double,
 /// so a value at the floor reads back as "underflowed to zero".
 constexpr double kLogFloor = -745.0;
+
+// Grid policy (see the class comment in tabulated_law.h).
+constexpr double kLoFraction = 1e-4;     ///< grid start, fraction of the mean
+constexpr int kPointsPerDecade = 64;     ///< log-grid density
+constexpr double kTailSurvival = 1e-14;  ///< grid extends until S(x) <= this
+/// Hard stop for the tail extension, as a multiple of the mean (a
+/// pathological law cannot grow the table without bound).
+constexpr double kHiCapMultiple = 1e9;
 
 double floored_log(double v) noexcept {
   if (!(v > 0.0)) return kLogFloor;
@@ -51,90 +57,28 @@ std::vector<double> monotone_slopes(const std::vector<double>& y, double h) {
   return slope;
 }
 
-/// Fritsch-Carlson monotone slopes for *non-uniform* knots @p z — the
-/// inverse tables' abscissae are the forward grid's log-probabilities,
-/// which cluster near the median and stretch in the tails. Weighted
-/// harmonic means in the interior, clamped one-sided estimates at the
-/// ends; preserves strict monotonicity of the data.
-std::vector<double> monotone_slopes_nonuniform(const std::vector<double>& z,
-                                               const std::vector<double>& y) {
-  const std::size_t n = z.size();
-  std::vector<double> slope(n, 0.0);
-  if (n < 2) return slope;
-  std::vector<double> h(n - 1);
-  std::vector<double> secant(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    h[i] = z[i + 1] - z[i];
-    secant[i] = (y[i + 1] - y[i]) / h[i];
-  }
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double a = secant[i - 1];
-    const double b = secant[i];
-    if (a * b <= 0.0) {
-      slope[i] = 0.0;
-    } else {
-      const double w1 = 2.0 * h[i] + h[i - 1];
-      const double w2 = h[i] + 2.0 * h[i - 1];
-      slope[i] = (w1 + w2) / (w1 / a + w2 / b);
-    }
-  }
-  const auto end_slope = [](double h0, double h1, double d0, double d1) {
-    double m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1);
-    if (m * d0 <= 0.0) return 0.0;
-    if (std::abs(m) > 3.0 * std::abs(d0)) m = 3.0 * d0;
-    return m;
-  };
-  slope[0] = n > 2 ? end_slope(h[0], h[1], secant[0], secant[1]) : secant[0];
-  slope[n - 1] = n > 2 ? end_slope(h[n - 2], h[n - 3], secant[n - 2],
-                                   secant[n - 3])
-                       : secant[n - 2];
-  return slope;
-}
-
-/// Cubic Hermite evaluation over non-uniform knots @p z (strictly
-/// increasing), extending the end slopes linearly outside the knot range.
-double hermite_nonuniform(const std::vector<double>& z,
-                          const std::vector<double>& y,
-                          const std::vector<double>& m, double q) noexcept {
-  if (q <= z.front()) return y.front() + m.front() * (q - z.front());
-  if (q >= z.back()) return y.back() + m.back() * (q - z.back());
-  const auto it = std::upper_bound(z.begin(), z.end(), q);
-  std::size_t i = static_cast<std::size_t>(it - z.begin()) - 1;
-  i = std::min(i, z.size() - 2);
-  const double h = z[i + 1] - z[i];
-  const double t = (q - z[i]) / h;
-  const double h00 = (1.0 + 2.0 * t) * (1.0 - t) * (1.0 - t);
-  const double h10 = t * (1.0 - t) * (1.0 - t);
-  const double h01 = t * t * (3.0 - 2.0 * t);
-  const double h11 = t * t * (t - 1.0);
-  return h00 * y[i] + h10 * h * m[i] + h01 * y[i + 1] + h11 * h * m[i + 1];
-}
-
 }  // namespace
 
-TabulatedLaw::TabulatedLaw(const FailureDistribution& law, Options options) {
+TabulatedLaw::TabulatedLaw(const FailureDistribution& law) {
   mean_ = law.mean();
   describe_ = law.describe();
   if (!(mean_ > 0.0) || !std::isfinite(mean_)) {
     throw std::invalid_argument("TabulatedLaw: law must have a finite mean");
   }
-  if (!(options.lo_fraction > 0.0) || options.points_per_decade < 4) {
-    throw std::invalid_argument("TabulatedLaw: invalid grid options");
-  }
 
-  const double step = std::log(10.0) / options.points_per_decade;
-  const double lo = options.lo_fraction * mean_;
+  const double step = std::log(10.0) / kPointsPerDecade;
+  const double lo = kLoFraction * mean_;
   // The grid always covers the shared oracle cap; heavy tails extend it
   // until the remaining mass is negligible at every tolerance in the tree.
   const double cap_start = kDomainCapMultiple * mean_;
-  const double hi_stop = options.hi_cap_multiple * mean_;
+  const double hi_stop = kHiCapMultiple * mean_;
 
   log_x_.push_back(std::log(lo));
   for (;;) {
     const double next = log_x_.back() + step;
     const double x = std::exp(next);
     log_x_.push_back(next);
-    if (x >= cap_start && law.survival(x) <= options.tail_survival) break;
+    if (x >= cap_start && law.survival(x) <= kTailSurvival) break;
     if (x >= hi_stop) break;
   }
 
@@ -182,185 +126,6 @@ TabulatedLaw::TabulatedLaw(const FailureDistribution& law, Options options) {
   slope_f_ = monotone_slopes(log_f_, step);
   slope_s_ = monotone_slopes(log_s_, step);
   slope_m_ = monotone_slopes(log_m_, step);
-
-  build_inverse_tables();
-  build_central_table();
-}
-
-void TabulatedLaw::build_central_table() {
-  // Resample the log-space inverse onto a uniform u lattice over
-  // [1/N, 1 - 1/N]. Nodes come from the exact path quantile() would take
-  // for each u, so the fast lane agrees with the slow lane at every node
-  // and deviates between nodes only by the Hermite interpolation error of
-  // an already-smooth quantile function (see docs/MODELS.md accuracy
-  // notes).
-  const double n = static_cast<double>(kCentralIntervals);
-  const auto slow_quantile = [this](double u) {
-    return std::exp(u < 0.5 ? x_from_log_cdf(std::log(u))
-                            : x_from_log_survival(std::log1p(-u)));
-  };
-  std::vector<double> xs;
-  xs.reserve(kCentralIntervals - 1);
-  for (std::size_t i = 1; i < kCentralIntervals; ++i) {
-    const double x = slow_quantile(static_cast<double>(i) / n);
-    // Degenerate tables (point-mass-like laws) can produce flat or
-    // non-finite quantiles; those laws keep the slow path everywhere.
-    if (!std::isfinite(x) || (!xs.empty() && !(x > xs.back()))) return;
-    xs.push_back(x);
-  }
-  const std::vector<double> ms = monotone_slopes(xs, 1.0 / n);
-
-  // Self-validate at interval midpoints and trim to the contiguous window
-  // around the median where the direct cubic matches the log-space path to
-  // kAgree — the quantile's curvature in linear u explodes toward u -> 0
-  // for heavy shapes, and the lattice must not pretend to resolve it.
-  // Draws outside the trimmed window (a few per mille of uniforms at
-  // worst) take the slow lane, so the lane split never costs accuracy.
-  // kAgree sits well inside the table's documented ~1e-4 accuracy but
-  // above the log-space lane's own ~1e-6 interpolation noise (the lanes
-  // cannot be asked to agree more tightly than the reference lane's
-  // error).
-  constexpr double kAgree = 2e-5;
-  const auto interval_ok = [&](std::size_t i) {
-    const double u = (static_cast<double>(i) + 1.5) / n;
-    const double t = 0.5;
-    const double h00 = (1.0 + 2.0 * t) * (1.0 - t) * (1.0 - t);
-    const double h10 = t * (1.0 - t) * (1.0 - t);
-    const double h01 = t * t * (3.0 - 2.0 * t);
-    const double h11 = t * t * (t - 1.0);
-    const double step = 1.0 / n;
-    const double fast = h00 * xs[i] + h10 * step * ms[i] + h01 * xs[i + 1] +
-                        h11 * step * ms[i + 1];
-    const double slow = slow_quantile(u);
-    return std::abs(fast - slow) <= kAgree * slow;
-  };
-  const std::size_t intervals = xs.size() - 1;
-  std::size_t lo = intervals / 2;
-  std::size_t hi = lo;  // [lo, hi): validated interval run around the median
-  if (!interval_ok(lo)) return;
-  while (lo > 0 && interval_ok(lo - 1)) --lo;
-  while (hi + 1 <= intervals && interval_ok(hi)) ++hi;
-  if (hi - lo < 16) return;  // not worth a lane that narrow
-
-  central_step_ = 1.0 / n;
-  central_inv_step_ = n;
-  central_lo_ = static_cast<double>(lo + 1) / n;
-  central_hi_ = static_cast<double>(hi + 1) / n;
-  central_x_.assign(xs.begin() + static_cast<std::ptrdiff_t>(lo),
-                    xs.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-  // Interior slopes from the untrimmed lattice: every kept node keeps the
-  // slope computed with its true neighbors.
-  central_m_.assign(ms.begin() + static_cast<std::ptrdiff_t>(lo),
-                    ms.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-}
-
-double TabulatedLaw::central_inverse(double u) const noexcept {
-  const double pos = (u - central_lo_) * central_inv_step_;
-  auto i = static_cast<std::size_t>(pos);
-  i = std::min(i, central_x_.size() - 2);
-  const double t = pos - static_cast<double>(i);
-  const double h00 = (1.0 + 2.0 * t) * (1.0 - t) * (1.0 - t);
-  const double h10 = t * (1.0 - t) * (1.0 - t);
-  const double h01 = t * t * (3.0 - 2.0 * t);
-  const double h11 = t * t * (t - 1.0);
-  return h00 * central_x_[i] + h10 * central_step_ * central_m_[i] +
-         h01 * central_x_[i + 1] + h11 * central_step_ * central_m_[i + 1];
-}
-
-void TabulatedLaw::build_inverse_tables() {
-  const std::size_t n = log_x_.size();
-  // CDF side: the strictly increasing, non-underflowed, non-saturated run
-  // of (log F_i, log x_i). Serves quantiles below the median; kept up to
-  // F ~= 0.9 so the sides overlap comfortably around 0.5.
-  const double kLogPointNine = std::log(0.9);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lf = log_f_[i];
-    if (lf <= kLogFloor || lf >= 0.0) continue;
-    if (!inv_f_z_.empty() && lf <= inv_f_z_.back()) continue;
-    if (lf > kLogPointNine && !inv_f_z_.empty()) break;
-    inv_f_z_.push_back(lf);
-    inv_f_x_.push_back(log_x_[i]);
-  }
-  inv_f_m_ = monotone_slopes_nonuniform(inv_f_z_, inv_f_x_);
-
-  // Survival side: the strictly decreasing, non-underflowed run of
-  // (log S_i, log x_i), reversed so the knots ascend in log S (deep tail
-  // first). Starts once F has reached ~0.1 so the bulk knots near the
-  // median are dense on this side too.
-  const double kLogPointOne = std::log(0.1);
-  std::vector<double> sz;
-  std::vector<double> sx;
-  bool started = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ls = log_s_[i];
-    if (!started) {
-      if (log_f_[i] < kLogPointOne) continue;  // F < 0.1: CDF side's job
-      started = true;
-    }
-    if (ls <= kLogFloor || ls >= 0.0) continue;
-    if (!sz.empty() && ls >= sz.back()) continue;
-    sz.push_back(ls);
-    sx.push_back(log_x_[i]);
-  }
-  inv_s_z_.assign(sz.rbegin(), sz.rend());
-  inv_s_x_.assign(sx.rbegin(), sx.rend());
-  inv_s_m_ = monotone_slopes_nonuniform(inv_s_z_, inv_s_x_);
-}
-
-double TabulatedLaw::x_from_log_cdf(double lf) const noexcept {
-  if (inv_f_z_.size() < 2) {
-    // Degenerate table (nearly-point-mass law): bisect the forward
-    // interpolant instead. Never hit by the production families.
-    double lo = log_x_.front() - 100.0;
-    double hi = log_x_.back() + 100.0;
-    for (int iter = 0; iter < 200; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      (eval(log_f_, slope_f_, mid, true) < lf ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
-  }
-  return hermite_nonuniform(inv_f_z_, inv_f_x_, inv_f_m_, lf);
-}
-
-double TabulatedLaw::x_from_log_survival(double ls) const noexcept {
-  if (inv_s_z_.size() < 2) {
-    double lo = log_x_.front() - 100.0;
-    double hi = log_x_.back() + 100.0;
-    for (int iter = 0; iter < 200; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      (eval(log_s_, slope_s_, mid, false) > ls ? lo : hi) = mid;
-    }
-    return 0.5 * (lo + hi);
-  }
-  return hermite_nonuniform(inv_s_z_, inv_s_x_, inv_s_m_, ls);
-}
-
-double TabulatedLaw::quantile(double u) const noexcept {
-  if (!(u > 0.0)) return 0.0;
-  if (u >= 1.0) return kInf;
-  // Central lane: ~99.8% of uniform draws land on the direct grid and
-  // resolve with one multiply and one cubic.
-  if (u >= central_lo_ && u <= central_hi_ && !central_x_.empty()) {
-    return central_inverse(u);
-  }
-  // Below the median invert the CDF table with log u; at or above it,
-  // the survival table with log(1 - u) — each side queries the log that
-  // carries the precision there.
-  const double lx =
-      u < 0.5 ? x_from_log_cdf(std::log(u)) : x_from_log_survival(std::log1p(-u));
-  return std::exp(lx);
-}
-
-double TabulatedLaw::inverse_survival(double s) const noexcept {
-  if (s >= 1.0) return 0.0;
-  if (!(s > 0.0)) return kInf;
-  if (!central_x_.empty()) {
-    const double u = 1.0 - s;
-    if (u >= central_lo_ && u <= central_hi_) return central_inverse(u);
-  }
-  const double lx = s > 0.5 ? x_from_log_cdf(std::log1p(-s))
-                            : x_from_log_survival(std::log(s));
-  return std::exp(lx);
 }
 
 double TabulatedLaw::eval(const std::vector<double>& y,
@@ -417,24 +182,6 @@ double TabulatedLaw::expected_retries(double t) const noexcept {
   const double ls = eval(log_s_, slope_s_, lx, false);
   if (ls <= kLogFloor) return kInf;  // survival underflowed: certain failure
   return std::exp(lf - ls);
-}
-
-TabulatedDistribution::TabulatedDistribution(
-    std::shared_ptr<const TabulatedLaw> table, double scale)
-    : table_(std::move(table)), scale_(scale) {
-  if (table_ == nullptr) {
-    throw std::invalid_argument("TabulatedDistribution: table must be non-null");
-  }
-  if (!(scale_ > 0.0) || !std::isfinite(scale_)) {
-    throw std::invalid_argument(
-        "TabulatedDistribution: scale must be positive and finite");
-  }
-}
-
-std::string TabulatedDistribution::describe() const {
-  std::ostringstream os;
-  os << "tabulated[" << table_->describe() << "] scaled to mean " << mean();
-  return os.str();
 }
 
 }  // namespace mlck::math

@@ -420,6 +420,9 @@ TEST(ScenarioSpec, RejectsTypoedKeysNamingKeyAndSection) {
   // Settings the optimizer no longer has are unknown keys like any typo.
   expect_unknown_key_rejected("optimizer", "lane_batch");
   expect_unknown_key_rejected("optimizer", "prune");
+  // The retired "distribution" section is an unknown key; the law lives
+  // in "failure" only.
+  expect_unknown_key_rejected("scenario", "distribution");
   // The same checker guards the mlckd request envelopes, naming the op.
   try {
     require_known_keys(util::Json::parse("{\"op\":\"ping\",\"flux\":1}"),
@@ -429,52 +432,6 @@ TEST(ScenarioSpec, RejectsTypoedKeysNamingKeyAndSection) {
     EXPECT_EQ(std::string(error.what()),
               "unknown key \"flux\" in request op ping (known keys: op id)");
   }
-}
-
-TEST(ScenarioSpec, LegacyDistributionSectionStillParses) {
-  ScenarioSpec spec;
-  spec.system = systems::table1_system("D2");
-  spec.system_ref = "D2";
-  spec.distribution.kind = DistributionSpec::Kind::kWeibull;
-  spec.distribution.shape = 0.7;
-  auto doc = spec.to_json();
-  auto& root = doc.make_object();
-  // Rewrite the canonical "failure" section as the legacy "distribution"
-  // form ({kind, shape, sigma, mean}) an older spec file would carry.
-  root.erase("failure");
-  util::Json::Object legacy;
-  legacy["kind"] = util::Json(std::string("weibull"));
-  legacy["shape"] = util::Json(0.7);
-  root["distribution"] = util::Json(std::move(legacy));
-
-  const auto back = ScenarioSpec::from_json(doc);
-  EXPECT_EQ(back.distribution.kind, DistributionSpec::Kind::kWeibull);
-  EXPECT_EQ(back.distribution.shape, 0.7);
-  // to_json always re-emits the canonical form.
-  EXPECT_TRUE(back.to_json().at("failure").is_object());
-
-  // A typo inside the legacy section is still named with its section.
-  root["distribution"].make_object()["shap"] = util::Json(1.0);
-  try {
-    ScenarioSpec::from_json(doc);
-    FAIL() << "typo in the legacy distribution section was accepted";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("shap"), std::string::npos) << message;
-    EXPECT_NE(message.find("scenario.distribution"), std::string::npos)
-        << message;
-  }
-}
-
-TEST(ScenarioSpec, FailureAndLegacyDistributionTogetherAreRejected) {
-  ScenarioSpec spec;
-  spec.system = systems::table1_system("D2");
-  spec.system_ref = "D2";
-  auto doc = spec.to_json();  // carries the "failure" section
-  util::Json::Object legacy;
-  legacy["kind"] = util::Json(std::string("weibull"));
-  doc.make_object()["distribution"] = util::Json(std::move(legacy));
-  EXPECT_THROW(ScenarioSpec::from_json(doc), std::invalid_argument);
 }
 
 TEST(ScenarioSpec, StrictParsingStillAcceptsEveryKnownKey) {

@@ -1,8 +1,8 @@
 // Property and contract tests for the failure-law layer: the tabulated
 // primitives against direct quadrature within the documented accuracy
-// policy (docs/MODELS.md), the exponential fast path's bit-identity, the
-// Weibull-shape metamorphic ordering of model forecasts, the CLI/JSON
-// parse grammar, and the shared integration-domain policy.
+// policy (docs/MODELS.md), the Weibull-shape metamorphic ordering of
+// model forecasts, the CLI/JSON parse grammar, and the shared
+// integration-domain policy.
 
 #include <cmath>
 #include <limits>
@@ -16,13 +16,12 @@
 #include "core/optimizer.h"
 #include "engine/scenario.h"
 #include "math/distribution.h"
-#include "math/exponential.h"
 #include "math/failure_law.h"
 #include "math/integrate.h"
-#include "math/retry.h"
 #include "prop_support.h"
 #include "systems/system_config.h"
 #include "systems/test_systems.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace mlck {
@@ -145,38 +144,6 @@ TEST(TabulatedLaw, ScaleFamilySharesOneUnitTable) {
   }
 }
 
-TEST(FailureLaw, ExponentialFamilyIsTheClosedFormBitForBit) {
-  const auto family = FailureLaw::exponential();
-  EXPECT_TRUE(math::is_exponential_family(family.get()));
-  for (const double rate : {1e-4, 0.01, 0.3}) {
-    const auto primitive = family->primitive(rate);
-    for (const double t : {0.005, 0.5, 12.0, 900.0}) {
-      EXPECT_EQ(primitive->expected_retries(t),
-                math::expected_retries(t, rate));
-      EXPECT_EQ(primitive->truncated_mean(t), math::truncated_mean(t, rate));
-    }
-  }
-}
-
-TEST(FailureLaw, NullAndExponentialModelsAreBitIdentical) {
-  // The kernel must never build primitives for the exponential family:
-  // a DauweModel holding FailureLaw::exponential() runs the exact same
-  // closed-form arithmetic as the default model.
-  const core::DauweModel bare;
-  const core::DauweModel exponential({}, FailureLaw::exponential());
-  for (const char* name : {"M", "B", "D3"}) {
-    const auto system = systems::table1_system(name);
-    const auto best = core::optimize_intervals(bare, system);
-    EXPECT_EQ(bare.expected_time(system, best.plan),
-              exponential.expected_time(system, best.plan))
-        << name;
-    const auto p_bare = bare.predict(system, best.plan);
-    const auto p_exp = exponential.predict(system, best.plan);
-    EXPECT_EQ(p_bare.expected_time, p_exp.expected_time) << name;
-    EXPECT_EQ(p_bare.efficiency, p_exp.efficiency) << name;
-  }
-}
-
 TEST(FailureLaw, ExpectedTimeIsMonotoneInWeibullShape) {
   // Metamorphic ordering: at a fixed plan and fixed per-severity means, a
   // smaller Weibull shape means burstier failures (heavier early mass),
@@ -248,6 +215,36 @@ TEST(DistributionSpec, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(DistributionSpec::parse("weibull:mean=10,scale=10"),
                std::invalid_argument);  // mutually exclusive
   EXPECT_THROW(DistributionSpec::parse(""), std::invalid_argument);
+
+  // The JSON "failure" section is exactly as strict: a parameter of
+  // another law is rejected (naming the key), never silently ignored.
+  const auto expect_json_rejected = [](const char* text, const char* key) {
+    try {
+      DistributionSpec::from_json(util::Json::parse(text));
+      FAIL() << text << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::string("\"") + key + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("scenario.failure"), std::string::npos)
+          << message;
+    }
+  };
+  expect_json_rejected(R"({"law":"lognormal","shape":0.7})", "shape");
+  expect_json_rejected(R"({"law":"weibull","sigma":1})", "sigma");
+  expect_json_rejected(R"({"shape":0.7})", "shape");  // default exponential
+  expect_json_rejected(R"({"law":"exponential","sigma":1})", "sigma");
+  expect_json_rejected(R"({"law":"weibull","form":0.7})", "form");
+  EXPECT_THROW(
+      DistributionSpec::from_json(util::Json::parse(R"({"law":"gamma"})")),
+      std::invalid_argument);
+  EXPECT_THROW(DistributionSpec::from_json(util::Json::parse(
+                   R"({"law":"weibull","shape":-1})")),
+               std::invalid_argument);
+  EXPECT_THROW(DistributionSpec::from_json(util::Json::parse(
+                   R"({"law":"weibull","mean":10,"scale":10})")),
+               std::invalid_argument);
 }
 
 TEST(DistributionSpec, ResolvedMeanFollowsScaleConventions) {

@@ -314,6 +314,17 @@ TEST(ServeProtocol, FuzzMalformedInputNeverKillsTheDaemon) {
           << request;
     }
   }
+
+  // A parameter of another law is a bad_request naming it, as --law does.
+  const Json mismatched = Json::parse(client.call_raw(
+      "{\"op\":\"optimize\",\"system\":\"D3\",\"failure\":"
+      "{\"law\":\"lognormal\",\"shape\":0.7}}"));
+  EXPECT_FALSE(mismatched.at("ok").as_bool());
+  EXPECT_EQ(mismatched.at("error").at("code").as_string(), "bad_request");
+  EXPECT_NE(mismatched.at("error").at("message").as_string().find(
+                "unknown key \"shape\" for law lognormal"),
+            std::string::npos)
+      << mismatched.at("error").at("message").as_string();
   server.stop();
 }
 
