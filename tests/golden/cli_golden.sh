@@ -13,6 +13,10 @@
 #                   them again with the --metrics/--openmetrics exports, which
 #                   pins the order of the notice lines), then `mlck trace`
 #                   as a four-trial audit and as a single-trial table.
+#   select          `mlck compare` on B and D3, `mlck simulate` on D3 (Dauwe
+#                   plan, Moody plan, adaptive wrapper) and `mlck sensitivity`
+#                   on D3 (Dauwe and Di plans): every command that picks a
+#                   plan by technique name and then simulates or sweeps it.
 set -u
 mlck=$1
 work=$2
@@ -63,9 +67,21 @@ transcript_scenario_trace() {
   run trace --system=D3
 }
 
+transcript_select() {
+  for system in B D3; do
+    run compare --system=$system --trials=20
+  done
+  run simulate --system=D3 --trials=50
+  run simulate --system=D3 --trials=50 --technique=moody
+  run simulate --system=D3 --trials=50 --adaptive
+  run sensitivity --system=D3
+  run sensitivity --system=D3 --technique=di
+}
+
 case $section in
-  7x3|scenario_trace) ;;
-  *) echo "unknown section: $section (use 7x3|scenario_trace)" >&2; exit 2 ;;
+  7x3|scenario_trace|select) ;;
+  *) echo "unknown section: $section (use 7x3|scenario_trace|select)" >&2
+     exit 2 ;;
 esac
 
 if [ -z "$golden" ]; then
