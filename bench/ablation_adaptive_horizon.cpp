@@ -8,7 +8,6 @@
 
 #include "bench_common.h"
 #include "core/adaptive.h"
-#include "core/technique.h"
 #include "sim/trial_runner.h"
 #include "systems/scaling.h"
 #include "util/table.h"
@@ -19,9 +18,9 @@ int main(int argc, char** argv) {
   const double mtbf = cli.get_double("mtbf", 15.0);
   const double pfs = cli.get_double("pfs", 20.0);
   mlck::bench::reject_unknown_flags(cli);
+  cfg.require_default_law("ablation_adaptive_horizon");
 
   using mlck::util::Table;
-  const mlck::core::DauweTechnique technique;
 
   std::cout << "Extension: horizon-aware adaptive scheduling on scaled "
                "system B (MTBF "
@@ -32,16 +31,12 @@ int main(int argc, char** argv) {
     const auto sys = mlck::systems::scaled_system_b(mtbf, pfs, base_time);
     mlck::bench::progress("ablation adaptive: T_B=" +
                           std::to_string(static_cast<int>(base_time)));
-    const auto selected = technique.select_plan(sys, cfg.options.pool);
-    const auto adaptive = mlck::core::make_adaptive(sys, selected.plan);
-    const auto static_stats =
-        mlck::sim::run_trials(sys, selected.plan, cfg.options.trials,
-                              cfg.options.seed, cfg.options.sim,
-                              cfg.options.pool);
-    const auto adaptive_stats =
-        mlck::sim::run_trials(sys, adaptive, cfg.options.trials,
-                              cfg.options.seed, cfg.options.sim,
-                              cfg.options.pool);
+    cfg.spec.system = sys;
+    const auto selected = cfg.select_plan(cfg.spec);
+    const auto static_stats = cfg.simulate_plan(cfg.spec, selected.plan);
+    const auto adaptive_stats = mlck::sim::run_trials(
+        sys, mlck::core::make_adaptive(sys, selected.plan), cfg.spec.trials,
+        cfg.spec.seed, cfg.spec.sim, cfg.pool.get());
     table.add_row(
         {Table::num(base_time, 0), selected.plan.to_string(),
          Table::pct(static_stats.efficiency.mean),

@@ -9,7 +9,6 @@
 #include "core/dauwe_model.h"
 #include "core/optimizer.h"
 #include "energy/power_model.h"
-#include "sim/trial_runner.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
 
@@ -34,6 +33,7 @@ int main(int argc, char** argv) {
                "energy/compute-only"});
   for (const char* name : {"D2", "D4", "D6", "D8"}) {
     const auto sys = mlck::systems::table1_system(name);
+    cfg.spec.system = sys;
     mlck::bench::progress("ablation energy: " + std::string(name));
     struct Variant {
       const char* label;
@@ -47,12 +47,8 @@ int main(int argc, char** argv) {
       const mlck::energy::EnergyObjectiveModel objective(base, power,
                                                          variant.objective);
       const auto best =
-          mlck::core::optimize_intervals(objective, sys, {},
-                                         cfg.options.pool);
-      const auto stats =
-          mlck::sim::run_trials(sys, best.plan, cfg.options.trials,
-                                cfg.options.seed, cfg.options.sim,
-                                cfg.options.pool);
+          mlck::core::optimize_intervals(objective, sys, {}, cfg.pool.get());
+      const auto stats = cfg.simulate_plan(cfg.spec, best.plan);
       // Mean simulated energy per run: shares * mean total time.
       mlck::sim::SimBreakdown minutes = stats.time_shares;
       const double mean_energy =

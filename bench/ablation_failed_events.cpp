@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/technique.h"
 #include "models/di.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
@@ -18,27 +17,22 @@ int main(int argc, char** argv) {
   mlck::bench::reject_unknown_flags(cli);
 
   using mlck::util::Table;
-  const mlck::core::DauweTechnique full_technique;
-  const mlck::core::DauweTechnique ablated_technique(
-      mlck::models::di_model_options());
 
   Table table({"system", "variant", "tau0", "sim eff", "pred eff",
                "pred err"});
   for (const auto& sys : mlck::systems::table1_systems()) {
     if (sys.name == "M" || sys.name == "B") continue;  // D-series focus
     mlck::bench::progress("ablation failed-events: " + sys.name);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    const auto options = cfg.options_for(sys, law);
+    mlck::engine::ScenarioSpec spec = cfg.spec;
+    spec.system = sys;
     for (const bool ablated : {false, true}) {
-      const auto& technique =
-          ablated ? ablated_technique : full_technique;
-      const auto out =
-          mlck::exp::evaluate_technique(technique, sys, options);
+      if (ablated) spec.model_options = mlck::models::di_model_options();
+      const auto out = cfg.run_scenario(spec);
       table.add_row({sys.name,
                      ablated ? "no failed C/R terms" : "full model",
-                     Table::num(out.plan.tau0, 3),
-                     Table::pct(out.sim.efficiency.mean),
-                     Table::pct(out.predicted_efficiency),
+                     Table::num(out.selected.plan.tau0, 3),
+                     Table::pct(out.stats.efficiency.mean),
+                     Table::pct(out.selected.predicted_efficiency),
                      Table::pct(out.prediction_error(), 2)});
     }
   }

@@ -18,48 +18,33 @@ int main(int argc, char** argv) {
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
 
-  using mlck::engine::DistributionSpec;
   using mlck::util::Table;
-
-  DistributionSpec exponential;
-  DistributionSpec weibull_07;
-  weibull_07.kind = DistributionSpec::Kind::kWeibull;
-  weibull_07.shape = 0.7;
-  DistributionSpec weibull_15;
-  weibull_15.kind = DistributionSpec::Kind::kWeibull;
-  weibull_15.shape = 1.5;
-  DistributionSpec lognormal;
-  lognormal.kind = DistributionSpec::Kind::kLogNormal;
-  lognormal.sigma = 1.0;
 
   Table table({"system", "distribution", "sim eff", "sd", "pred eff",
                "pred err"});
   for (const char* name : {"D1", "D3", "D5", "D7", "D8"}) {
     mlck::bench::progress("ablation failure-distribution: " +
                           std::string(name));
-    mlck::engine::ScenarioSpec scenario = cfg.spec;
-    scenario.system = mlck::systems::table1_system(name);
-    scenario.system_ref = name;
+    cfg.spec.system = mlck::systems::table1_system(name);
 
-    // One plan per system (selected under the exponential model), then
-    // re-simulated under each law with the same seed.
-    const auto selected =
-        scenario.make_engine().optimize(scenario.optimizer, cfg.pool.get());
+    // One plan per system (selected under the spec's law, exponential by
+    // default), then re-simulated under each law with the same seed.
+    const auto selected = cfg.select_plan(cfg.spec);
 
     // All four laws — including the exponential control — run through the
     // same renewal-source machinery so the rows differ only in the law.
-    for (const DistributionSpec& law :
-         {exponential, weibull_07, weibull_15, lognormal}) {
-      scenario.distribution = law;
-      const auto dist = law.make(scenario.system);
+    for (const char* law : {"exponential", "weibull:shape=0.7",
+                            "weibull:shape=1.5", "lognormal:sigma=1"}) {
+      const auto dist = mlck::engine::DistributionSpec::parse(law).make(
+          cfg.spec.system);
       const auto stats = mlck::sim::run_trials_with_distribution(
-          scenario.system, selected.plan, *dist, scenario.trials,
-          scenario.seed, scenario.sim, cfg.pool.get());
+          cfg.spec.system, selected.plan, *dist, cfg.spec.trials,
+          cfg.spec.seed, cfg.spec.sim, cfg.pool.get());
       table.add_row({name, dist->describe(),
                      Table::pct(stats.efficiency.mean),
                      Table::pct(stats.efficiency.stddev),
-                     Table::pct(selected.efficiency),
-                     Table::pct(selected.efficiency -
+                     Table::pct(selected.predicted_efficiency),
+                     Table::pct(selected.predicted_efficiency -
                                     stats.efficiency.mean, 2)});
     }
   }

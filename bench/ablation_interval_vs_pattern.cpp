@@ -12,7 +12,6 @@
 
 #include "bench_common.h"
 #include "core/interval_schedule.h"
-#include "core/technique.h"
 #include "models/interval_baseline.h"
 #include "models/interval_tuner.h"
 #include "sim/trial_runner.h"
@@ -23,36 +22,34 @@ int main(int argc, char** argv) {
   const mlck::util::Cli cli(argc, argv);
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
+  cfg.require_default_law("ablation_interval_vs_pattern");
 
   using mlck::util::Table;
-  const mlck::core::DauweTechnique technique;
 
   Table table({"system", "pattern eff", "sd", "pattern-as-intervals eff",
                "relaxed intervals eff", "sd", "tuned intervals eff",
                "relaxed schedule"});
   for (const auto& sys : mlck::systems::table1_systems()) {
     mlck::bench::progress("ablation interval-vs-pattern: " + sys.name);
-    const auto selected = technique.select_plan(sys, cfg.options.pool);
-    const auto pattern =
-        mlck::sim::run_trials(sys, selected.plan, cfg.options.trials,
-                              cfg.options.seed, cfg.options.sim,
-                              cfg.options.pool);
-    const auto as_intervals = mlck::sim::run_trials(
-        sys, mlck::core::IntervalSchedule::from_plan(selected.plan),
-        cfg.options.trials, cfg.options.seed, cfg.options.sim,
-        cfg.options.pool);
+    cfg.spec.system = sys;
+    const auto selected = cfg.select_plan(cfg.spec);
+    const auto pattern = cfg.simulate_plan(cfg.spec, selected.plan);
+    // Interval schedules go to the simulator directly.
+    const auto simulate = [&](const mlck::core::IntervalSchedule& schedule) {
+      return mlck::sim::run_trials(sys, schedule, cfg.spec.trials,
+                                   cfg.spec.seed, cfg.spec.sim,
+                                   cfg.pool.get());
+    };
+    const auto as_intervals =
+        simulate(mlck::core::IntervalSchedule::from_plan(selected.plan));
     const auto relaxed_schedule = mlck::models::relaxed_interval_schedule(sys);
-    const auto relaxed = mlck::sim::run_trials(
-        sys, relaxed_schedule, cfg.options.trials, cfg.options.seed,
-        cfg.options.sim, cfg.options.pool);
+    const auto relaxed = simulate(relaxed_schedule);
     // Simulation-tuned periods, then re-scored on the full trial budget
     // with a fresh seed (the tuner's own estimate is optimistically
     // biased by selection).
-    const auto tuned = mlck::models::tune_interval_schedule(
-        sys, {}, cfg.options.pool);
-    const auto tuned_eval = mlck::sim::run_trials(
-        sys, tuned.schedule, cfg.options.trials, cfg.options.seed,
-        cfg.options.sim, cfg.options.pool);
+    const auto tuned =
+        mlck::models::tune_interval_schedule(sys, {}, cfg.pool.get());
+    const auto tuned_eval = simulate(tuned.schedule);
     table.add_row({sys.name, Table::pct(pattern.efficiency.mean),
                    Table::pct(pattern.efficiency.stddev),
                    Table::pct(as_intervals.efficiency.mean),

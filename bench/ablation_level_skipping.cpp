@@ -6,7 +6,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/technique.h"
 #include "systems/scaling.h"
 #include "util/table.h"
 
@@ -17,10 +16,6 @@ int main(int argc, char** argv) {
   mlck::bench::reject_unknown_flags(cli);
 
   using mlck::util::Table;
-  mlck::core::OptimizerOptions forced;
-  forced.allow_suffix_skipping = false;
-  const mlck::core::DauweTechnique free_technique;
-  const mlck::core::DauweTechnique forced_technique({}, forced);
 
   Table table({"scenario", "free top level", "free eff", "forced eff",
                "gain", "free sd", "forced sd"});
@@ -28,19 +23,20 @@ int main(int argc, char** argv) {
       base_time, mlck::systems::figure5_pfs_cost_grid());
   for (const auto& sc : grid) {
     mlck::bench::progress("ablation level-skipping: " + sc.label);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    const auto options = cfg.options_for(sc.system, law);
-    const auto skip =
-        mlck::exp::evaluate_technique(free_technique, sc.system, options);
-    const auto all =
-        mlck::exp::evaluate_technique(forced_technique, sc.system, options);
+    mlck::engine::ScenarioSpec spec = cfg.spec;
+    spec.system = sc.system;
+    const auto skip = cfg.run_scenario(spec);
+    spec.optimizer.allow_suffix_skipping = false;
+    const auto all = cfg.run_scenario(spec);
     table.add_row(
-        {sc.label, std::to_string(skip.plan.top_system_level() + 1),
-         Table::pct(skip.sim.efficiency.mean),
-         Table::pct(all.sim.efficiency.mean),
-         Table::pct(skip.sim.efficiency.mean - all.sim.efficiency.mean, 2),
-         Table::pct(skip.sim.efficiency.stddev),
-         Table::pct(all.sim.efficiency.stddev)});
+        {sc.label,
+         std::to_string(skip.selected.plan.top_system_level() + 1),
+         Table::pct(skip.stats.efficiency.mean),
+         Table::pct(all.stats.efficiency.mean),
+         Table::pct(skip.stats.efficiency.mean - all.stats.efficiency.mean,
+                    2),
+         Table::pct(skip.stats.efficiency.stddev),
+         Table::pct(all.stats.efficiency.stddev)});
   }
   std::cout << "Ablation (Sec. IV-F): level skipping for a "
             << static_cast<int>(base_time) << "-minute application\n";

@@ -7,8 +7,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/technique.h"
-#include "sim/trial_runner.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
 
@@ -18,25 +16,18 @@ int main(int argc, char** argv) {
   mlck::bench::reject_unknown_flags(cli);
 
   using mlck::util::Table;
-  const mlck::core::DauweTechnique technique;
 
   Table table({"system", "retry eff", "escalate eff", "gap",
                "retry restarts", "escalate restarts"});
   for (const auto& sys : mlck::systems::table1_systems()) {
     mlck::bench::progress("ablation restart-semantics: " + sys.name);
-    const auto selected = technique.select_plan(sys, cfg.options.pool);
-
-    mlck::sim::SimOptions retry;
-    mlck::sim::SimOptions escalate;
-    escalate.restart_policy = mlck::sim::RestartPolicy::kMoodyEscalate;
-    const auto r = mlck::sim::run_trials(sys, selected.plan,
-                                         cfg.options.trials,
-                                         cfg.options.seed, retry,
-                                         cfg.options.pool);
-    const auto e = mlck::sim::run_trials(sys, selected.plan,
-                                         cfg.options.trials,
-                                         cfg.options.seed, escalate,
-                                         cfg.options.pool);
+    mlck::engine::ScenarioSpec spec = cfg.spec;
+    spec.system = sys;
+    const auto selected = cfg.select_plan(spec);
+    spec.sim.restart_policy = mlck::sim::RestartPolicy::kRetrySameLevel;
+    const auto r = cfg.simulate_plan(spec, selected.plan);
+    spec.sim.restart_policy = mlck::sim::RestartPolicy::kMoodyEscalate;
+    const auto e = cfg.simulate_plan(spec, selected.plan);
     table.add_row({sys.name, Table::pct(r.efficiency.mean),
                    Table::pct(e.efficiency.mean),
                    Table::pct(r.efficiency.mean - e.efficiency.mean, 2),

@@ -19,26 +19,26 @@
 namespace mlck::bench {
 
 /// Options shared by every experiment driver, expressed as a declarative
-/// engine::ScenarioSpec template (the system field is filled in per sweep
-/// point by each driver). Defaults reproduce the paper's settings;
-/// --trials/--seed/--threads/--dist override them for quick runs or
-/// non-exponential stress studies, and --spec=file.json loads a whole
-/// scenario document (CLI flags still win afterwards). --dist takes the
-/// `mlck --law` grammar, exponential | weibull:shape=K | lognormal:sigma=S
-/// with optional ,mean=M / ,scale=S; a malformed value exits 2.
-/// Telemetry is always on (simulator, optimizer and thread-pool counters;
-/// docs/OBSERVABILITY.md): the app::TelemetryScope flags
-/// (--metrics/--openmetrics/--timeline) choose the outputs, which are
-/// written when the config is destroyed, i.e. after the driver's sweep
-/// finishes. --trace=file.json likewise records host-side spans (pool
-/// tasks, and the optimizer/engine phases where the driver runs them
-/// through the spec) into a Chrome trace-event file on destruction.
+/// engine::ScenarioSpec template. Drivers set spec.system per sweep point
+/// and pick and simulate plans through the engine (the wrappers below),
+/// so the spec's failure law, model options and optimizer controls reach
+/// the model as well as the simulator. The model is the driver's own:
+/// figures run a lineup, ablations the Dauwe technique. Defaults
+/// reproduce the paper's settings; --trials/--seed/--threads/--dist
+/// override them, and --spec=file.json loads a whole scenario document
+/// (--trials/--seed still win when given). --dist takes the `mlck --law`
+/// grammar, exponential | weibull:shape=K | lognormal:sigma=S with
+/// optional ,mean=M / ,scale=S; a malformed --dist or --seed exits 2.
+/// Telemetry is always on (docs/OBSERVABILITY.md): the
+/// app::TelemetryScope flags (--metrics/--openmetrics/--timeline) choose
+/// the outputs, and --trace=file.json records host-side spans into a
+/// Chrome trace-event file; both are written when the config is
+/// destroyed, i.e. after the driver's sweep finishes.
 struct BenchConfig {
   /// Declared before the pool, which holds pointers into its registry.
   app::TelemetryScope telemetry;
   engine::ScenarioSpec spec;
   std::unique_ptr<util::ThreadPool> pool;
-  exp::ExperimentOptions options;  ///< derived from spec; what drivers use
   bool csv = false;
   std::string plot_prefix;  ///< --plot=prefix writes prefix.dat/.gp
   std::string trace_path;   ///< --trace=file writes the Chrome trace there
@@ -50,12 +50,14 @@ struct BenchConfig {
       spec = engine::ScenarioSpec::load(*path);
     } else {
       spec.trials = default_trials;
-      spec.seed = 20180521;
     }
-    spec.trials = static_cast<std::size_t>(
-        cli.get_int("trials", static_cast<int>(spec.trials)));
-    spec.seed = static_cast<std::uint64_t>(
-        cli.get_int("seed", static_cast<int>(spec.seed)));
+    spec.model = "dauwe";
+    try {
+      app::apply_trials_and_seed(cli, spec);
+    } catch (const std::out_of_range& e) {
+      std::cerr << e.what() << "\n";
+      std::exit(2);
+    }
     if (const auto dist = cli.value("dist"); dist && !dist->empty()) {
       try {
         spec.distribution = engine::DistributionSpec::parse(*dist);
@@ -69,23 +71,14 @@ struct BenchConfig {
     trace_path = cli.get_string("trace", "");
     pool = std::make_unique<util::ThreadPool>(
         app::pool_width(cli.get_int("threads", 0)));
+    // Schedules simulated outside the engine count under the same names.
     spec.sim.metrics = &telemetry.metrics().sim;
-    spec.optimizer.metrics = &telemetry.metrics().optimizer;
     pool->attach_metrics(engine::pool_metrics(telemetry.registry()));
     if (!trace_path.empty()) {
       trace_sink = std::make_unique<obs::TraceSink>();
       trace_sink->name_current_thread("main");
-      spec.optimizer.trace = trace_sink.get();
       pool->attach_trace(trace_sink.get());
     }
-
-    options.trials = spec.trials;
-    options.seed = spec.seed;
-    options.sim = spec.sim;
-    options.pool = pool.get();
-    // Distribution instantiation needs a concrete system (the default
-    // mean is the system MTBF); drivers that sweep systems call
-    // options_for(system) per point instead.
   }
 
   ~BenchConfig() {
@@ -111,18 +104,37 @@ struct BenchConfig {
   BenchConfig(const BenchConfig&) = delete;
   BenchConfig& operator=(const BenchConfig&) = delete;
 
-  /// Experiment options for one concrete system, with the scenario's
-  /// failure distribution materialized against that system's MTBF. The
-  /// returned options borrow @p distribution_storage, which must outlive
-  /// their use.
-  exp::ExperimentOptions options_for(
-      const systems::SystemConfig& system,
-      std::unique_ptr<const math::FailureDistribution>& distribution_storage)
-      const {
-    engine::ScenarioSpec point = spec;
-    point.system = system;
-    point.system_ref.clear();
-    return exp::options_from(point, pool.get(), distribution_storage);
+  /// The engine entry points (exp::compare_models on spec) with this
+  /// config's pool, telemetry registry and trace sink.
+  core::TechniqueResult select_plan(const engine::ScenarioSpec& s) {
+    return engine::select_plan(s, pool.get(), &telemetry.registry(),
+                               trace_sink.get());
+  }
+  sim::TrialStats simulate_plan(const engine::ScenarioSpec& s,
+                                const core::CheckpointPlan& plan) {
+    return engine::simulate_plan(s, plan, pool.get(), &telemetry.registry(),
+                                 trace_sink.get());
+  }
+  engine::ScenarioOutcome run_scenario(const engine::ScenarioSpec& s) {
+    return engine::run_scenario(s, pool.get(), &telemetry.registry(),
+                                trace_sink.get());
+  }
+  exp::ScenarioResult compare_models(const std::string& label,
+                                     const std::vector<std::string>& models) {
+    return exp::compare_models(spec, label, models, pool.get(),
+                               &telemetry.registry(), trace_sink.get());
+  }
+
+  /// For drivers that simulate checkpoint schedules, which have no
+  /// renewal failure source: exits 2 unless the failure law is the
+  /// default exponential (whose canonical form is plain "exponential").
+  void require_default_law(const char* driver) const {
+    const std::string law = spec.distribution.to_string();
+    if (law == "exponential") return;
+    std::cerr << "--dist=" << law << ": " << driver
+              << " simulates checkpoint schedules, which support only the "
+                 "default exponential law\n";
+    std::exit(2);
   }
 
   /// Writes <prefix>.dat and <prefix>.gp so `gnuplot <prefix>.gp` renders
@@ -131,7 +143,9 @@ struct BenchConfig {
                             const std::string& title) const {
     if (plot_prefix.empty() || rows.empty()) return;
     std::vector<std::string> names;
-    for (const auto& o : rows.front().outcomes) names.push_back(o.technique);
+    for (const auto& o : rows.front().outcomes) {
+      names.push_back(o.selected.technique);
+    }
     std::ofstream dat(plot_prefix + ".dat");
     exp::write_efficiency_dat(dat, rows);
     std::ofstream gp(plot_prefix + ".gp");

@@ -7,7 +7,6 @@
 
 #include "bench_common.h"
 #include "exp/report.h"
-#include "models/registry.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
 
@@ -16,26 +15,25 @@ int main(int argc, char** argv) {
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
 
-  const auto techniques = mlck::models::figure2_techniques();
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sys : mlck::systems::table1_systems()) {
     mlck::bench::progress("figure 2: system " + sys.name);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    rows.push_back(mlck::exp::run_scenario(sys, sys.name, techniques,
-                                           cfg.options_for(sys, law)));
+    cfg.spec.system = sys;
+    rows.push_back(cfg.compare_models(sys.name, mlck::exp::kFigure2Models));
   }
 
   mlck::exp::print_efficiency_table(
       std::cout,
       "Figure 2: technique efficiency on the Table I test systems (" +
-          std::to_string(cfg.options.trials) + " trials per bar)",
+          std::to_string(cfg.spec.trials) + " trials per bar)",
       rows);
 
   std::cout << "\nSelected plans\n";
   mlck::util::Table plans({"system", "technique", "plan"});
   for (const auto& row : rows) {
     for (const auto& o : row.outcomes) {
-      plans.add_row({row.label, o.technique, o.plan.to_string()});
+      plans.add_row(
+          {row.label, o.selected.technique, o.selected.plan.to_string()});
     }
   }
   plans.print(std::cout);

@@ -6,7 +6,6 @@
 
 #include "bench_common.h"
 #include "exp/report.h"
-#include "models/registry.h"
 #include "systems/test_systems.h"
 
 int main(int argc, char** argv) {
@@ -14,19 +13,18 @@ int main(int argc, char** argv) {
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
 
-  const auto techniques = mlck::models::multilevel_techniques();
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sys : mlck::systems::table1_systems()) {
     mlck::bench::progress("figure 3: system " + sys.name);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    rows.push_back(mlck::exp::run_scenario(sys, sys.name, techniques,
-                                           cfg.options_for(sys, law)));
+    cfg.spec.system = sys;
+    rows.push_back(
+        cfg.compare_models(sys.name, mlck::exp::kMultilevelModels));
   }
 
   mlck::exp::print_breakdown_table(
       std::cout,
       "Figure 3: time breakdown per technique and test system (" +
-          std::to_string(cfg.options.trials) + " trials each)",
+          std::to_string(cfg.spec.trials) + " trials each)",
       rows);
   return 0;
 }

@@ -7,7 +7,6 @@
 
 #include "bench_common.h"
 #include "exp/report.h"
-#include "models/registry.h"
 #include "systems/scaling.h"
 
 int main(int argc, char** argv) {
@@ -16,24 +15,22 @@ int main(int argc, char** argv) {
   const double base_time = cli.get_double("base-time", 1440.0);
   mlck::bench::reject_unknown_flags(cli);
 
-  const auto techniques = mlck::models::multilevel_techniques();
   const auto grid = mlck::exp::scaled_b_grid(
       base_time, mlck::systems::figure4_pfs_cost_grid());
 
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sc : grid) {
     mlck::bench::progress("figure 4: " + sc.label);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
+    cfg.spec.system = sc.system;
     rows.push_back(
-        mlck::exp::run_scenario(sc.system, sc.label, techniques,
-                                cfg.options_for(sc.system, law)));
+        cfg.compare_models(sc.label, mlck::exp::kMultilevelModels));
   }
 
   mlck::exp::print_efficiency_table(
       std::cout,
       "Figure 4: " + std::to_string(static_cast<int>(base_time)) +
           "-minute application at exascale-like difficulty (" +
-          std::to_string(cfg.options.trials) + " trials per bar)",
+          std::to_string(cfg.spec.trials) + " trials per bar)",
       rows);
 
   cfg.emit_efficiency_plot(rows, "Figure 4");

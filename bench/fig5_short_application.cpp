@@ -7,7 +7,6 @@
 
 #include "bench_common.h"
 #include "exp/report.h"
-#include "models/registry.h"
 #include "stats/hypothesis.h"
 #include "systems/scaling.h"
 #include "util/table.h"
@@ -18,22 +17,21 @@ int main(int argc, char** argv) {
   const double base_time = cli.get_double("base-time", 30.0);
   mlck::bench::reject_unknown_flags(cli);
 
-  const auto techniques = mlck::models::multilevel_techniques();
   const auto grid = mlck::exp::scaled_b_grid(
       base_time, mlck::systems::figure5_pfs_cost_grid());
 
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sc : grid) {
     mlck::bench::progress("figure 5: " + sc.label);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    rows.push_back(mlck::exp::run_scenario(sc.system, sc.label, techniques,
-                                           cfg.options_for(sc.system, law)));
+    cfg.spec.system = sc.system;
+    rows.push_back(
+        cfg.compare_models(sc.label, mlck::exp::kMultilevelModels));
   }
 
   mlck::exp::print_efficiency_table(
       std::cout,
       "Figure 5: " + std::to_string(static_cast<int>(base_time)) +
-          "-minute application (" + std::to_string(cfg.options.trials) +
+          "-minute application (" + std::to_string(cfg.spec.trials) +
           " trials per bar)",
       rows);
 
@@ -44,13 +42,14 @@ int main(int argc, char** argv) {
   for (const auto& row : rows) {
     const auto& dauwe = row.outcome("Dauwe et al.");
     const auto& moody = row.outcome("Moody et al.");
-    const auto welch = mlck::stats::welch_test(dauwe.sim.efficiency,
-                                               moody.sim.efficiency);
+    const auto welch = mlck::stats::welch_test(dauwe.stats.efficiency,
+                                               moody.stats.efficiency);
     detail.add_row(
-        {row.label, std::to_string(dauwe.plan.top_system_level() + 1),
-         std::to_string(moody.plan.top_system_level() + 1),
-         mlck::util::Table::pct(dauwe.sim.efficiency.mean -
-                                moody.sim.efficiency.mean),
+        {row.label,
+         std::to_string(dauwe.selected.plan.top_system_level() + 1),
+         std::to_string(moody.selected.plan.top_system_level() + 1),
+         mlck::util::Table::pct(dauwe.stats.efficiency.mean -
+                                moody.stats.efficiency.mean),
          mlck::util::Table::num(welch.statistic, 2),
          mlck::util::Table::num(welch.p_two_sided, 4),
          welch.significant() ? "yes" : "no"});

@@ -7,7 +7,6 @@
 
 #include "bench_common.h"
 #include "exp/report.h"
-#include "models/registry.h"
 #include "systems/scaling.h"
 #include "util/table.h"
 
@@ -16,16 +15,15 @@ int main(int argc, char** argv) {
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
 
-  const auto techniques = mlck::models::multilevel_techniques();
   const auto grid = mlck::exp::scaled_b_grid(
       1440.0, mlck::systems::figure4_pfs_cost_grid());
 
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sc : grid) {
     mlck::bench::progress("figure 6: " + sc.label);
-    std::unique_ptr<const mlck::math::FailureDistribution> law;
-    rows.push_back(mlck::exp::run_scenario(sc.system, sc.label, techniques,
-                                           cfg.options_for(sc.system, law)));
+    cfg.spec.system = sc.system;
+    rows.push_back(
+        cfg.compare_models(sc.label, mlck::exp::kMultilevelModels));
   }
 
   mlck::exp::print_prediction_error_table(
@@ -36,7 +34,9 @@ int main(int argc, char** argv) {
 
   if (!cfg.plot_prefix.empty() && !rows.empty()) {
     std::vector<std::string> names;
-    for (const auto& o : rows.front().outcomes) names.push_back(o.technique);
+    for (const auto& o : rows.front().outcomes) {
+      names.push_back(o.selected.technique);
+    }
     std::ofstream dat(cfg.plot_prefix + ".dat");
     mlck::exp::write_prediction_error_dat(dat, rows, "Moody et al.");
     std::ofstream gp(cfg.plot_prefix + ".gp");

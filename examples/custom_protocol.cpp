@@ -6,8 +6,7 @@
 //   $ ./custom_protocol [--trials=100]
 #include <iostream>
 
-#include "models/registry.h"
-#include "sim/trial_runner.h"
+#include "exp/experiments.h"
 #include "systems/system_config.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -15,33 +14,31 @@
 int main(int argc, char** argv) {
   using mlck::util::Table;
   const mlck::util::Cli cli(argc, argv);
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 100));
+  mlck::engine::ScenarioSpec spec;
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
+  spec.seed = 23;
 
   // FTI-style hierarchy: the Reed-Solomon level (3rd) is costlier than the
   // partner copy but far cheaper than the PFS, and covers rarer failures.
-  const auto system = mlck::systems::SystemConfig::from_table_row(
+  spec.system = mlck::systems::SystemConfig::from_table_row(
       "fti-like", /*levels=*/4, /*mtbf=*/45.0,
       /*severity=*/{0.55, 0.25, 0.15, 0.05},
       /*checkpoint=restart cost=*/{0.1, 0.4, 1.2, 8.0},
       /*base_time=*/720.0);
 
   std::cout << "FTI-like four-level protocol, 12-hour application, MTBF "
-            << system.mtbf << " min\n\n";
+            << spec.system.mtbf << " min\n\n";
 
   Table table({"technique", "plan", "sim eff", "sd", "predicted",
                "pred err"});
-  for (const char* name :
-       {"dauwe", "di", "moody", "benoit", "daly", "young"}) {
-    const auto technique = mlck::models::make_technique(name);
-    const auto selected = technique->select_plan(system);
-    const auto stats = mlck::sim::run_trials(system, selected.plan, trials,
-                                             /*seed=*/23);
-    table.add_row({selected.technique, selected.plan.to_string(),
-                   Table::pct(stats.efficiency.mean),
-                   Table::pct(stats.efficiency.stddev),
-                   Table::pct(selected.predicted_efficiency),
-                   Table::pct(selected.predicted_efficiency -
-                                  stats.efficiency.mean, 2)});
+  const auto result =
+      mlck::exp::compare_models(spec, "fti-like", mlck::exp::kAllModels);
+  for (const auto& o : result.outcomes) {
+    table.add_row({o.selected.technique, o.selected.plan.to_string(),
+                   Table::pct(o.stats.efficiency.mean),
+                   Table::pct(o.stats.efficiency.stddev),
+                   Table::pct(o.selected.predicted_efficiency),
+                   Table::pct(o.prediction_error(), 2)});
   }
   table.print(std::cout);
 

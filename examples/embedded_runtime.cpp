@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <iostream>
 
-#include "core/technique.h"
+#include "engine/scenario.h"
 #include "runtime/advisor.h"
 #include "sim/failure_source.h"
 #include "systems/test_systems.h"
@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 8));
 
   // Plan once (e.g. at job-submission time)...
-  const mlck::core::DauweTechnique technique;
-  const auto selected = technique.select_plan(system);
+  mlck::engine::ScenarioSpec spec;
+  spec.system = system;
+  const auto selected = mlck::engine::select_plan(spec);
   std::cout << "plan: " << selected.plan.to_string() << "\n\n";
 
   // ...then embed the advisor in the run loop.

@@ -8,7 +8,7 @@
 // debugging protocol changes).
 #include <iostream>
 
-#include "core/technique.h"
+#include "engine/scenario.h"
 #include "sim/simulator.h"
 #include "systems/test_systems.h"
 #include "util/cli.h"
@@ -39,8 +39,9 @@ int main(int argc, char** argv) {
   const auto max_events =
       static_cast<std::size_t>(cli.get_int("max-events", 60));
 
-  const mlck::core::DauweTechnique technique;
-  const auto selected = technique.select_plan(system);
+  mlck::engine::ScenarioSpec spec;
+  spec.system = system;
+  const auto selected = mlck::engine::select_plan(spec);
   std::cout << "System " << system.name << ", plan "
             << selected.plan.to_string() << "\n\n";
 

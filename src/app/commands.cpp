@@ -12,13 +12,12 @@
 #include "engine/evaluation.h"
 #include "engine/scenario.h"
 #include "energy/power_model.h"
+#include "exp/experiments.h"
 #include "core/optimizer.h"
 #include "core/serialize.h"
-#include "core/technique.h"
 #include "models/daly.h"
 #include "models/di.h"
 #include "models/moody.h"
-#include "models/registry.h"
 #include "models/young.h"
 #include "obs/attribution.h"
 #include "obs/exposition.h"
@@ -50,7 +49,7 @@ std::unique_ptr<core::ExecutionTimeModel> make_model(
   throw std::out_of_range("unknown model: " + name);
 }
 
-sim::SimOptions sim_options_from(const Cli& cli) {
+sim::SimOptions parse_sim_options(const Cli& cli) {
   sim::SimOptions opts;
   const std::string policy = cli.get_string("policy", "retry");
   if (policy == "escalate") {
@@ -181,8 +180,10 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
     result.predicted_time = answer.at("expected_time").as_number();
     result.predicted_efficiency = answer.at("efficiency").as_number();
   } else {
-    result = models::make_technique(technique_name)
-                 ->select_plan(system_from(cli), &pool);
+    engine::ScenarioSpec spec;
+    spec.system = system_from(cli);
+    spec.model = technique_name;
+    result = engine::select_plan(spec, &pool);
   }
   Table table({"field", "value"});
   table.add_row({"technique", result.technique});
@@ -236,10 +237,13 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
 }
 
 int cmd_simulate(const Cli& cli, std::ostream& out) {
-  const auto system = system_from(cli);
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 200));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto options = sim_options_from(cli);
+  engine::ScenarioSpec spec;
+  spec.system = system_from(cli);
+  spec.model = cli.get_string("technique", "dauwe");
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 200));
+  spec.seed = cli.get_u64("seed", 1);
+  spec.sim = parse_sim_options(cli);
+  const auto& system = spec.system;
 
   // Interval-based schedules bypass the pattern plumbing entirely.
   if (const auto schedule_path = cli.value("intervals");
@@ -247,8 +251,8 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
     const auto schedule = core::interval_schedule_from_json(
         util::Json::parse(core::read_file(*schedule_path)));
     schedule.validate(system);
-    const auto interval_stats =
-        sim::run_trials(system, schedule, trials, seed, options);
+    const auto interval_stats = sim::run_trials(system, schedule, spec.trials,
+                                                spec.seed, spec.sim);
     Table t({"metric", "value"});
     t.add_row({"schedule", schedule.to_string()});
     t.add_row({"efficiency mean",
@@ -265,23 +269,19 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
     plan = core::plan_from_json(
         util::Json::parse(core::read_file(*plan_path)));
   } else {
-    const auto technique =
-        models::make_technique(cli.get_string("technique", "dauwe"));
-    plan = technique->select_plan(system).plan;
+    plan = engine::select_plan(spec).plan;
   }
   plan.validate(system);
-  sim::TrialStats stats;
-  if (cli.get_bool("adaptive", false)) {
-    // Horizon-aware wrapper (Sec. IV-F generalized).
-    stats = sim::run_trials(system, core::make_adaptive(system, plan),
-                            trials, seed, options);
-  } else {
-    stats = sim::run_trials(system, plan, trials, seed, options);
-  }
+  // Horizon-aware wrapper (Sec. IV-F generalized) or the plan itself.
+  const sim::TrialStats stats =
+      cli.get_bool("adaptive", false)
+          ? sim::run_trials(system, core::make_adaptive(system, plan),
+                            spec.trials, spec.seed, spec.sim)
+          : engine::simulate_plan(spec, plan);
 
   Table table({"metric", "value"});
   table.add_row({"plan", plan.to_string()});
-  table.add_row({"trials", std::to_string(trials)});
+  table.add_row({"trials", std::to_string(spec.trials)});
   table.add_row({"efficiency mean", Table::pct(stats.efficiency.mean)});
   table.add_row({"efficiency stddev", Table::pct(stats.efficiency.stddev)});
   table.add_row({"95% CI half-width",
@@ -308,23 +308,20 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
 }
 
 int cmd_compare(const Cli& cli, std::ostream& out) {
-  const auto system = system_from(cli);
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 100));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  engine::ScenarioSpec spec;
+  spec.system = system_from(cli);
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
+  spec.seed = cli.get_u64("seed", 1);
   Table table({"technique", "plan", "sim eff", "sd", "predicted",
                "pred err"});
-  for (const char* name :
-       {"dauwe", "di", "moody", "benoit", "daly", "young"}) {
-    const auto technique = models::make_technique(name);
-    const auto selected = technique->select_plan(system);
-    const auto stats =
-        sim::run_trials(system, selected.plan, trials, seed);
-    table.add_row({selected.technique, selected.plan.to_string(),
-                   Table::pct(stats.efficiency.mean),
-                   Table::pct(stats.efficiency.stddev),
-                   Table::pct(selected.predicted_efficiency),
-                   Table::pct(selected.predicted_efficiency -
-                                  stats.efficiency.mean, 2)});
+  const auto result =
+      exp::compare_models(spec, spec.system.name, exp::kAllModels);
+  for (const auto& o : result.outcomes) {
+    table.add_row({o.selected.technique, o.selected.plan.to_string(),
+                   Table::pct(o.stats.efficiency.mean),
+                   Table::pct(o.stats.efficiency.stddev),
+                   Table::pct(o.selected.predicted_efficiency),
+                   Table::pct(o.prediction_error(), 2)});
   }
   table.print(out);
   return 0;
@@ -336,10 +333,11 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out) {
   // flat, so interval estimates can be rough. The sweep quantifies how
   // flat, per system.) The tau variants share one cached evaluation
   // context through the engine's batch API.
-  const auto system = system_from(cli);
-  const auto technique =
-      models::make_technique(cli.get_string("technique", "dauwe"));
-  const auto selected = technique->select_plan(system);
+  engine::ScenarioSpec spec;
+  spec.system = system_from(cli);
+  spec.model = cli.get_string("technique", "dauwe");
+  const auto& system = spec.system;
+  const auto selected = engine::select_plan(spec);
   const engine::EvaluationEngine eng(system);
 
   static constexpr double kFactors[] = {0.25, 0.5, 0.7, 0.85, 1.0,
@@ -408,12 +406,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
         << spec.distribution.to_string() << ")\n";
     spec.distribution = flag_law;
   }
-  if (const auto trials = cli.value("trials"); trials) {
-    spec.trials = static_cast<std::size_t>(cli.get_int("trials", 200));
-  }
-  if (const auto seed = cli.value("seed"); seed) {
-    spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  }
+  apply_trials_and_seed(cli, spec);
   const auto trace_path = cli.value("trace");
   if (trace_path && trace_path->empty()) {
     throw std::out_of_range("--trace requires a file path "
@@ -451,8 +444,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   table.add_row({"sim efficiency stddev",
                  Table::pct(outcome.stats.efficiency.stddev)});
   table.add_row({"prediction error",
-                 Table::pct(outcome.selected.predicted_efficiency -
-                                outcome.stats.efficiency.mean, 2)});
+                 Table::pct(outcome.prediction_error(), 2)});
   table.print(out);
   if (const auto path = cli.value("out"); path && !path->empty()) {
     core::write_file(*path,
@@ -478,7 +470,7 @@ int cmd_energy(const Cli& cli, std::ostream& out) {
   power.restart = cli.get_double("restart-power", 0.6);
   power.validate();
   const auto trials = static_cast<std::size_t>(cli.get_int("trials", 100));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_u64("seed", 1);
   const core::DauweModel base;
 
   Table table({"objective", "plan", "sim eff", "sim energy/run"});
@@ -507,7 +499,7 @@ int cmd_energy(const Cli& cli, std::ostream& out) {
 
 int cmd_trace(const Cli& cli, std::ostream& out) {
   const auto system = system_from(cli);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 4));
+  const auto seed = cli.get_u64("seed", 4);
   const auto max_events =
       static_cast<std::size_t>(cli.get_int("max-events", 40));
   const auto trials = static_cast<std::size_t>(cli.get_int("trials", 1));
@@ -516,9 +508,10 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   if (format != "table" && format != "chrome" && format != "jsonl") {
     throw std::out_of_range("unknown --format (use table|chrome|jsonl)");
   }
-  const core::DauweTechnique technique;
-  const auto selected = technique.select_plan(system);
-  sim::SimOptions opts = sim_options_from(cli);
+  engine::ScenarioSpec spec;
+  spec.system = system;
+  const auto selected = engine::select_plan(spec);
+  sim::SimOptions opts = parse_sim_options(cli);
 
   // The standard sim.* counters are recorded by the multi-trial runner's
   // aggregation loop, so the single-trial path (--trials=1, which calls
@@ -625,12 +618,7 @@ int cmd_report(const Cli& cli, std::ostream& out) {
     throw std::out_of_range("--spec=scenario.json is required");
   }
   engine::ScenarioSpec spec = engine::ScenarioSpec::load(*spec_path);
-  if (const auto trials = cli.value("trials"); trials) {
-    spec.trials = static_cast<std::size_t>(cli.get_int("trials", 200));
-  }
-  if (const auto seed = cli.value("seed"); seed) {
-    spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  }
+  apply_trials_and_seed(cli, spec);
 
   TelemetryScope telemetry(cli);
   obs::TraceSink sink;
@@ -707,7 +695,7 @@ std::vector<verify::VerifyLaw> parse_law_pool(const std::string& text) {
 int cmd_selftest(const Cli& cli, std::ostream& out) {
   verify::SelftestOptions options;
   options.cases = static_cast<std::size_t>(cli.get_int("cases", 200));
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
+  options.seed = cli.get_u64("seed", 42);
   options.only_case = cli.get_int("case", -1);
   options.trials = static_cast<std::size_t>(cli.get_int("trials", 600));
   options.welch_systems =

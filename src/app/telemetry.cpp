@@ -32,6 +32,13 @@ std::size_t pool_width(int threads) {
   return std::max(2u, std::thread::hardware_concurrency());
 }
 
+void apply_trials_and_seed(const util::Cli& cli, engine::ScenarioSpec& spec) {
+  if (cli.has("trials")) {
+    spec.trials = static_cast<std::size_t>(cli.get_int("trials", 0));
+  }
+  spec.seed = cli.get_u64("seed", spec.seed);
+}
+
 TelemetryScope::TelemetryScope(const util::Cli& cli)
     : argv_(cli.raw_args()),
       metrics_path_(cli.value("metrics")),

@@ -20,6 +20,12 @@ namespace mlck::app {
 /// leave every pool.* metric (and the per-worker trace tracks) at zero.
 std::size_t pool_width(int threads);
 
+/// The one rule for --trials and --seed on a scenario, shared by
+/// `mlck scenario`, `mlck report` and the bench drivers: each flag
+/// overrides @p spec only when it is given, and --seed keeps its full
+/// 64-bit value. A malformed --seed throws std::out_of_range.
+void apply_trials_and_seed(const util::Cli& cli, engine::ScenarioSpec& spec);
+
 /// The one telemetry lifecycle. Telemetry is always on: the scope owns a
 /// registry with the engine::ScenarioMetrics names registered up front,
 /// so every sidecar has one shape. The flags only choose the outputs:

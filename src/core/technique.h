@@ -1,11 +1,7 @@
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "core/dauwe_model.h"
-#include "core/model.h"
-#include "core/optimizer.h"
 #include "core/plan.h"
 #include "util/thread_pool.h"
 
@@ -23,12 +19,14 @@ struct TechniqueResult {
 
 /// A complete checkpoint-interval selection strategy: a performance model
 /// plus a policy for searching the plan space with it. One implementation
-/// exists per compared technique (Dauwe, Moody, Di, Benoit, Daly, Young).
+/// exists per baseline technique (Moody, Di, Benoit, Daly, Young); the
+/// paper's own Dauwe technique is EvaluationEngine::optimize, reached by
+/// name through engine::select_plan.
 class Technique {
  public:
   virtual ~Technique() = default;
 
-  /// Display name used in tables ("Dauwe et al.", ...).
+  /// Display name used in tables ("Moody et al.", ...).
   virtual std::string name() const = 0;
 
   /// Chooses checkpoint intervals for @p system and predicts their
@@ -43,27 +41,6 @@ class Technique {
   /// argument in one place).
   virtual TechniqueResult do_select_plan(const systems::SystemConfig& system,
                                          util::ThreadPool* pool) const = 0;
-};
-
-/// The paper's technique: the Dauwe execution-time model driving the
-/// bounded brute-force sweep of Sec. III-C, including the Sec. IV-F
-/// option of omitting expensive top levels for short applications.
-class DauweTechnique : public Technique {
- public:
-  explicit DauweTechnique(DauweOptions model_options = {},
-                          OptimizerOptions optimizer_options = {});
-
-  std::string name() const override { return "Dauwe et al."; }
-
-  const DauweModel& model() const noexcept { return model_; }
-
- protected:
-  TechniqueResult do_select_plan(const systems::SystemConfig& system,
-                                 util::ThreadPool* pool) const override;
-
- private:
-  DauweModel model_;
-  OptimizerOptions optimizer_options_;
 };
 
 }  // namespace mlck::core

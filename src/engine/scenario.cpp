@@ -103,7 +103,7 @@ Json model_options_to_json(const core::DauweOptions& opts) {
   return Json(std::move(doc));
 }
 
-core::DauweOptions model_options_from_json(const Json& doc) {
+core::DauweOptions parse_model_options(const Json& doc) {
   core::DauweOptions opts;
   require_known_keys(doc, "scenario.model_options",
                      {"checkpoint_failures", "restart_failures",
@@ -360,7 +360,7 @@ ScenarioSpec ScenarioSpec::from_json(const Json& doc) {
   }
   if (const Json* v = doc.find("model")) spec.model = v->as_string();
   if (const Json* v = doc.find("model_options"))
-    spec.model_options = model_options_from_json(*v);
+    spec.model_options = parse_model_options(*v);
   if (const Json* v = doc.find("failure"))
     spec.distribution = DistributionSpec::from_json(*v);
   if (const Json* v = doc.find("optimizer"))
@@ -424,57 +424,85 @@ util::ThreadPoolMetrics pool_metrics(obs::MetricsRegistry& registry) {
   return m;
 }
 
+namespace {
+
+// select_plan and simulate_plan over a resolved metric wiring (empty when
+// uninstrumented), so run_scenario wires once for both.
+
+std::optional<ScenarioMetrics> wiring_for(obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return std::nullopt;
+  return ScenarioMetrics(*metrics);
+}
+
+core::TechniqueResult select_wired(
+    const ScenarioSpec& spec, util::ThreadPool* pool,
+    std::optional<ScenarioMetrics> wiring, obs::TraceSink* trace) {
+  obs::Span span(trace, "scenario.select_plan", "scenario");
+  if (spec.model != "dauwe") {
+    return models::make_technique(spec.model)->select_plan(spec.system, pool);
+  }
+  // The cached fast path: one engine, contexts shared across the whole
+  // sweep and refinement.
+  core::OptimizerOptions options = spec.optimizer;
+  EvaluationEngine engine = spec.make_engine();
+  if (wiring) {
+    options.metrics = &wiring->optimizer;
+    engine.attach_metrics(wiring->engine);
+  }
+  options.trace = trace;
+  engine.attach_trace(trace);
+  const core::OptimizationResult best = engine.optimize(options, pool);
+  return {"Dauwe et al.", best.plan, best.expected_time, best.efficiency};
+}
+
+sim::TrialStats simulate_wired(const ScenarioSpec& spec,
+                               const core::CheckpointPlan& plan,
+                               util::ThreadPool* pool,
+                               std::optional<ScenarioMetrics> wiring,
+                               obs::TraceSink* trace) {
+  obs::Span span(trace, "scenario.simulate", "scenario");
+  sim::SimOptions options = spec.sim;
+  if (wiring) options.metrics = &wiring->sim;
+  if (spec.distribution.is_default_exponential()) {
+    // Native Poisson source: bit-compatible with pre-scenario seeds.
+    return sim::run_trials(spec.system, plan, spec.trials, spec.seed,
+                           options, pool);
+  }
+  const auto law = spec.distribution.make(spec.system);
+  return sim::run_trials_with_distribution(spec.system, plan, *law,
+                                           spec.trials, spec.seed, options,
+                                           pool);
+}
+
+}  // namespace
+
+core::TechniqueResult select_plan(const ScenarioSpec& spec,
+                                  util::ThreadPool* pool,
+                                  obs::MetricsRegistry* metrics,
+                                  obs::TraceSink* trace) {
+  spec.validate();
+  return select_wired(spec, pool, wiring_for(metrics), trace);
+}
+
+sim::TrialStats simulate_plan(const ScenarioSpec& spec,
+                              const core::CheckpointPlan& plan,
+                              util::ThreadPool* pool,
+                              obs::MetricsRegistry* metrics,
+                              obs::TraceSink* trace) {
+  spec.validate();
+  return simulate_wired(spec, plan, pool, wiring_for(metrics), trace);
+}
+
 ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                              util::ThreadPool* pool,
                              obs::MetricsRegistry* metrics,
                              obs::TraceSink* trace) {
   spec.validate();
+  const auto wiring = wiring_for(metrics);
   ScenarioOutcome outcome;
-
-  // Instrumented copies of the option structs; the wiring lives on this
-  // frame for the duration of the run.
-  std::optional<ScenarioMetrics> wiring;
-  core::OptimizerOptions optimizer_options = spec.optimizer;
-  sim::SimOptions sim_options = spec.sim;
-  if (metrics != nullptr) {
-    wiring.emplace(*metrics);
-    optimizer_options.metrics = &wiring->optimizer;
-    sim_options.metrics = &wiring->sim;
-  }
-  optimizer_options.trace = trace;
-
-  {
-    obs::Span span(trace, "scenario.select_plan", "scenario");
-    if (spec.model == "dauwe") {
-      // The cached fast path: one engine, contexts shared across the whole
-      // sweep and refinement.
-      EvaluationEngine engine = spec.make_engine();
-      if (wiring) engine.attach_metrics(wiring->engine);
-      engine.attach_trace(trace);
-      const core::OptimizationResult best =
-          engine.optimize(optimizer_options, pool);
-      outcome.selected.technique = "Dauwe et al.";
-      outcome.selected.plan = best.plan;
-      outcome.selected.predicted_time = best.expected_time;
-      outcome.selected.predicted_efficiency = best.efficiency;
-    } else {
-      const auto technique = models::make_technique(spec.model);
-      outcome.selected = technique->select_plan(spec.system, pool);
-    }
-  }
-
-  obs::Span span(trace, "scenario.simulate", "scenario");
-  if (spec.distribution.is_default_exponential()) {
-    // Native Poisson source: bit-compatible with pre-scenario seeds.
-    outcome.stats =
-        sim::run_trials(spec.system, outcome.selected.plan, spec.trials,
-                        spec.seed, sim_options, pool);
-  } else {
-    const auto law = spec.distribution.make(spec.system);
-    outcome.stats = sim::run_trials_with_distribution(
-        spec.system, outcome.selected.plan, *law, spec.trials, spec.seed,
-        sim_options, pool);
-  }
+  outcome.selected = select_wired(spec, pool, wiring, trace);
+  outcome.stats =
+      simulate_wired(spec, outcome.selected.plan, pool, wiring, trace);
   return outcome;
 }
 

@@ -89,8 +89,9 @@ struct ScenarioSpec {
   /// emits the name instead of the inline document.
   std::string system_ref;
 
-  /// Technique registry name: "dauwe", "di", "moody", "benoit", "daly",
-  /// "young". model_options applies to the Dauwe model only.
+  /// Model name resolved by select_plan: "dauwe", "di", "moody",
+  /// "benoit", "daly", "young". model_options, optimizer and the failure
+  /// law's model side apply to the Dauwe model only.
   std::string model = "dauwe";
   core::DauweOptions model_options;
 
@@ -102,7 +103,7 @@ struct ScenarioSpec {
   sim::SimOptions sim;
 
   /// Throws std::invalid_argument when the spec is unusable (no system,
-  /// unknown model name checked lazily by run_scenario).
+  /// no trials); an unknown model name is caught by select_plan.
   void validate() const;
 
   /// The cached evaluation engine for this scenario's system + options,
@@ -138,6 +139,12 @@ struct ScenarioOutcome {
   core::TechniqueResult selected;  ///< chosen plan + the model's forecast
   sim::TrialStats stats;           ///< Monte-Carlo validation under the
                                    ///< scenario's failure distribution
+
+  /// Prediction error as plotted in paper Figure 6: predicted minus
+  /// simulated efficiency.
+  double prediction_error() const noexcept {
+    return selected.predicted_efficiency - stats.efficiency.mean;
+  }
 };
 
 /// The standard metric wiring for a scenario run, resolved once against a
@@ -156,17 +163,37 @@ struct ScenarioMetrics {
 /// ThreadPool (the CLI and bench drivers attach this to theirs).
 util::ThreadPoolMetrics pool_metrics(obs::MetricsRegistry& registry);
 
-/// Runs @p spec end to end: selects a plan (through the cached
-/// EvaluationEngine for the Dauwe model, through the technique registry
-/// otherwise) and validates it with spec.trials simulated runs drawn from
-/// spec.distribution. With the default exponential distribution the
-/// simulation is bit-identical to sim::run_trials on the same seed.
+/// Selects the plan spec.model runs on spec.system — the one place a
+/// model name is resolved. "dauwe" searches through the cached
+/// EvaluationEngine with the spec's failure law, model_options and
+/// optimizer controls; any other name goes to the baseline registry
+/// (models::make_technique), which throws std::out_of_range for a name it
+/// does not know. Recorded as a "scenario.select_plan" span.
+core::TechniqueResult select_plan(const ScenarioSpec& spec,
+                                  util::ThreadPool* pool = nullptr,
+                                  obs::MetricsRegistry* metrics = nullptr,
+                                  obs::TraceSink* trace = nullptr);
+
+/// Validates @p plan with spec.trials simulated runs on spec.system from
+/// spec.seed under spec.sim — the one place a failure law picks the
+/// sampler: the native Poisson source for the default exponential law
+/// (bit-identical to sim::run_trials on the same seed), a renewal source
+/// drawing from spec.distribution otherwise. Recorded as a
+/// "scenario.simulate" span.
+sim::TrialStats simulate_plan(const ScenarioSpec& spec,
+                              const core::CheckpointPlan& plan,
+                              util::ThreadPool* pool = nullptr,
+                              obs::MetricsRegistry* metrics = nullptr,
+                              obs::TraceSink* trace = nullptr);
+
+/// Runs @p spec end to end: select_plan, then simulate_plan on the
+/// selected plan, with one metric wiring for both.
 ///
 /// When @p metrics is non-null the run is instrumented under the standard
 /// ScenarioMetrics names; results are bit-identical either way
 /// (instrumentation is observe-only).
 ///
-/// When @p trace is non-null the selection stages emit host-side spans
+/// When @p trace is non-null the two stages emit host-side spans
 /// ("scenario.select_plan", "scenario.simulate", plus the optimizer and
 /// engine spans; docs/OBSERVABILITY.md) into it — also observe-only. To
 /// capture simulator event streams, point spec.sim.capture at a

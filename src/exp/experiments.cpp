@@ -6,61 +6,28 @@
 
 namespace mlck::exp {
 
-const TechniqueOutcome& ScenarioResult::outcome(
+const engine::ScenarioOutcome& ScenarioResult::outcome(
     const std::string& technique) const {
   for (const auto& o : outcomes) {
-    if (o.technique == technique) return o;
+    if (o.selected.technique == technique) return o;
   }
   throw std::out_of_range("no outcome for technique: " + technique);
 }
 
-ExperimentOptions options_from(
-    const engine::ScenarioSpec& spec, util::ThreadPool* pool,
-    std::unique_ptr<const math::FailureDistribution>& distribution_storage) {
-  ExperimentOptions options;
-  options.trials = spec.trials;
-  options.seed = spec.seed;
-  options.sim = spec.sim;
-  options.pool = pool;
-  if (!spec.distribution.is_default_exponential()) {
-    distribution_storage = spec.distribution.make(spec.system);
-    options.failure_distribution = distribution_storage.get();
-  }
-  return options;
-}
-
-TechniqueOutcome evaluate_technique(const core::Technique& technique,
-                                    const systems::SystemConfig& system,
-                                    const ExperimentOptions& options) {
-  TechniqueOutcome out;
-  const core::TechniqueResult selected =
-      technique.select_plan(system, options.pool);
-  out.technique = selected.technique;
-  out.plan = selected.plan;
-  out.predicted_time = selected.predicted_time;
-  out.predicted_efficiency = selected.predicted_efficiency;
-  if (options.failure_distribution != nullptr) {
-    out.sim = sim::run_trials_with_distribution(
-        system, selected.plan, *options.failure_distribution, options.trials,
-        options.seed, options.sim, options.pool);
-  } else {
-    out.sim = sim::run_trials(system, selected.plan, options.trials,
-                              options.seed, options.sim, options.pool);
-  }
-  return out;
-}
-
-ScenarioResult run_scenario(
-    const systems::SystemConfig& system, const std::string& label,
-    const std::vector<std::unique_ptr<core::Technique>>& techniques,
-    const ExperimentOptions& options) {
+ScenarioResult compare_models(const engine::ScenarioSpec& spec,
+                              const std::string& label,
+                              const std::vector<std::string>& models,
+                              util::ThreadPool* pool,
+                              obs::MetricsRegistry* metrics,
+                              obs::TraceSink* trace) {
   ScenarioResult result;
   result.label = label;
-  result.system = system;
-  result.outcomes.reserve(techniques.size());
-  for (const auto& technique : techniques) {
+  result.outcomes.reserve(models.size());
+  engine::ScenarioSpec point = spec;
+  for (const auto& model : models) {
+    point.model = model;
     result.outcomes.push_back(
-        evaluate_technique(*technique, system, options));
+        engine::run_scenario(point, pool, metrics, trace));
   }
   return result;
 }

@@ -1,79 +1,50 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/technique.h"
 #include "engine/scenario.h"
-#include "sim/trial_runner.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 #include "systems/system_config.h"
 #include "util/thread_pool.h"
 
 namespace mlck::exp {
 
-/// Shared controls for every experiment driver. Defaults reproduce the
-/// paper's settings (200 trials; Fig. 5 raises trials to 400); tests dial
-/// the trial count down.
-struct ExperimentOptions {
-  std::size_t trials = 200;
-  std::uint64_t seed = 0x5eed2018c0ffeeULL;
-  sim::SimOptions sim;
-  util::ThreadPool* pool = nullptr;
+/// The five techniques compared in paper Figure 2, in the paper's legend
+/// order: Dauwe et al., Di et al., Moody et al., Benoit et al., Daly.
+inline const std::vector<std::string> kFigure2Models = {
+    "dauwe", "di", "moody", "benoit", "daly"};
 
-  /// Failure inter-arrival law for the validation simulations. When null
-  /// the simulator's native exponential source is used (the paper's
-  /// assumption, bit-compatible with historical seeds); when set, trials
-  /// draw from this renewal law instead. Non-owning; must outlive use.
-  const math::FailureDistribution* failure_distribution = nullptr;
-};
+/// The three best techniques of Figures 3-6: Dauwe, Di, Moody.
+inline const std::vector<std::string> kMultilevelModels = {"dauwe", "di",
+                                                           "moody"};
 
-/// Experiment controls from a declarative scenario: trials, seed, and sim
-/// options are copied from @p spec; a non-default distribution in the
-/// spec materializes into @p distribution_storage (owned by the caller)
-/// and is wired into the returned options.
-ExperimentOptions options_from(
-    const engine::ScenarioSpec& spec, util::ThreadPool* pool,
-    std::unique_ptr<const math::FailureDistribution>& distribution_storage);
-
-/// One technique's bar in a figure: its selected plan, its own forecast
-/// (the diamond), and the simulated outcome (the bar and error whiskers).
-struct TechniqueOutcome {
-  std::string technique;
-  core::CheckpointPlan plan;
-  double predicted_efficiency = 0.0;
-  double predicted_time = 0.0;
-  sim::TrialStats sim;
-
-  /// Prediction error as plotted in Figure 6: predicted minus simulated
-  /// efficiency.
-  double prediction_error() const noexcept {
-    return predicted_efficiency - sim.efficiency.mean;
-  }
-};
+/// Every technique the library ships: Figure 2's five plus Young.
+inline const std::vector<std::string> kAllModels = {
+    "dauwe", "di", "moody", "benoit", "daly", "young"};
 
 /// One x-axis position of a figure: a system/scenario and every
-/// technique's outcome on it.
+/// technique's outcome on it (its selected plan, its own forecast — the
+/// diamond — and the simulated bar with its error whiskers).
 struct ScenarioResult {
   std::string label;
-  systems::SystemConfig system;
-  std::vector<TechniqueOutcome> outcomes;
+  std::vector<engine::ScenarioOutcome> outcomes;
 
-  /// Outcome of the named technique; throws std::out_of_range if absent.
-  const TechniqueOutcome& outcome(const std::string& technique) const;
+  /// Outcome of the technique with display name @p technique ("Moody et
+  /// al."); throws std::out_of_range if absent.
+  const engine::ScenarioOutcome& outcome(const std::string& technique) const;
 };
 
-/// Selects intervals with @p technique and validates them with the
-/// simulator (@p options.trials independent runs).
-TechniqueOutcome evaluate_technique(const core::Technique& technique,
-                                    const systems::SystemConfig& system,
-                                    const ExperimentOptions& options);
-
-/// Runs every technique on one system.
-ScenarioResult run_scenario(
-    const systems::SystemConfig& system, const std::string& label,
-    const std::vector<std::unique_ptr<core::Technique>>& techniques,
-    const ExperimentOptions& options);
+/// Runs engine::run_scenario once per name in @p models, each on @p spec
+/// with spec.model replaced, and collects the outcomes in that order.
+/// @p pool, @p metrics and @p trace are passed through to every run.
+ScenarioResult compare_models(const engine::ScenarioSpec& spec,
+                              const std::string& label,
+                              const std::vector<std::string>& models,
+                              util::ThreadPool* pool = nullptr,
+                              obs::MetricsRegistry* metrics = nullptr,
+                              obs::TraceSink* trace = nullptr);
 
 /// The Figure 4 / Figure 5 scenario grid: Table I system B with the MTBF
 /// and PFS-cost sweeps applied, at the given application base time.

@@ -26,7 +26,7 @@ void write_efficiency_dat(std::ostream& os,
   os << "# scenario";
   if (!rows.empty()) {
     for (const auto& o : rows.front().outcomes) {
-      os << " \"" << o.technique << " sim\" sd pred";
+      os << " \"" << o.selected.technique << " sim\" sd pred";
     }
   }
   os << "\n";
@@ -34,8 +34,8 @@ void write_efficiency_dat(std::ostream& os,
   for (const auto& row : rows) {
     os << index++ << ' ' << quoted(row.label);
     for (const auto& o : row.outcomes) {
-      os << ' ' << o.sim.efficiency.mean << ' ' << o.sim.efficiency.stddev
-         << ' ' << o.predicted_efficiency;
+      os << ' ' << o.stats.efficiency.mean << ' ' << o.stats.efficiency.stddev
+         << ' ' << o.selected.predicted_efficiency;
     }
     os << "\n";
   }
@@ -89,7 +89,7 @@ void write_prediction_error_dat(std::ostream& os,
   os << "# test scenario";
   if (!rows.empty()) {
     for (const auto& o : rows.front().outcomes) {
-      os << " \"" << o.technique << " error\"";
+      os << " \"" << o.selected.technique << " error\"";
     }
   }
   os << "\n";

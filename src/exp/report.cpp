@@ -17,7 +17,7 @@ void print_efficiency_table(std::ostream& os, const std::string& title,
   if (rows.empty()) return;
   std::vector<std::string> header{"scenario"};
   for (const auto& o : rows.front().outcomes) {
-    header.push_back(o.technique + " sim");
+    header.push_back(o.selected.technique + " sim");
     header.push_back("sd");
     header.push_back("pred");
   }
@@ -25,9 +25,9 @@ void print_efficiency_table(std::ostream& os, const std::string& title,
   for (const auto& row : rows) {
     std::vector<std::string> cells{row.label};
     for (const auto& o : row.outcomes) {
-      cells.push_back(Table::pct(o.sim.efficiency.mean));
-      cells.push_back(Table::pct(o.sim.efficiency.stddev));
-      cells.push_back(Table::pct(o.predicted_efficiency));
+      cells.push_back(Table::pct(o.stats.efficiency.mean));
+      cells.push_back(Table::pct(o.stats.efficiency.stddev));
+      cells.push_back(Table::pct(o.selected.predicted_efficiency));
     }
     table.add_row(std::move(cells));
   }
@@ -42,8 +42,8 @@ void print_breakdown_table(std::ostream& os, const std::string& title,
                "rework rst"});
   for (const auto& row : rows) {
     for (const auto& o : row.outcomes) {
-      const auto& s = o.sim.time_shares;
-      table.add_row({row.label, o.technique, Table::pct(s.useful),
+      const auto& s = o.stats.time_shares;
+      table.add_row({row.label, o.selected.technique, Table::pct(s.useful),
                      Table::pct(s.checkpoint_ok),
                      Table::pct(s.checkpoint_failed),
                      Table::pct(s.restart_ok), Table::pct(s.restart_failed),
@@ -73,7 +73,7 @@ void print_prediction_error_table(std::ostream& os, const std::string& title,
   if (rows.empty()) return;
   std::vector<std::string> header{"#", "scenario"};
   for (const auto& o : rows.front().outcomes) {
-    header.push_back(o.technique + " err");
+    header.push_back(o.selected.technique + " err");
   }
   Table table(std::move(header));
   int index = 1;
@@ -95,12 +95,12 @@ void write_efficiency_csv(std::ostream& os,
            "capped_trials"});
   for (const auto& row : rows) {
     for (const auto& o : row.outcomes) {
-      csv.row({row.label, o.technique, o.plan.to_string(),
-               std::to_string(o.sim.efficiency.mean),
-               std::to_string(o.sim.efficiency.stddev),
-               std::to_string(o.predicted_efficiency),
-               std::to_string(o.sim.trials),
-               std::to_string(o.sim.capped_trials)});
+      csv.row({row.label, o.selected.technique, o.selected.plan.to_string(),
+               std::to_string(o.stats.efficiency.mean),
+               std::to_string(o.stats.efficiency.stddev),
+               std::to_string(o.selected.predicted_efficiency),
+               std::to_string(o.stats.trials),
+               std::to_string(o.stats.capped_trials)});
     }
   }
 }

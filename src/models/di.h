@@ -1,6 +1,7 @@
 #pragma once
 
 #include "core/dauwe_model.h"
+#include "core/optimizer.h"
 #include "core/technique.h"
 
 namespace mlck::models {

@@ -2,6 +2,7 @@
 
 #include "core/effective.h"
 #include "core/model.h"
+#include "core/optimizer.h"
 #include "core/technique.h"
 
 namespace mlck::models {

@@ -10,26 +10,7 @@
 
 namespace mlck::models {
 
-std::vector<std::unique_ptr<core::Technique>> figure2_techniques() {
-  std::vector<std::unique_ptr<core::Technique>> out;
-  out.push_back(std::make_unique<core::DauweTechnique>());
-  out.push_back(std::make_unique<DiTechnique>());
-  out.push_back(std::make_unique<MoodyTechnique>());
-  out.push_back(std::make_unique<BenoitTechnique>());
-  out.push_back(std::make_unique<DalyTechnique>());
-  return out;
-}
-
-std::vector<std::unique_ptr<core::Technique>> multilevel_techniques() {
-  std::vector<std::unique_ptr<core::Technique>> out;
-  out.push_back(std::make_unique<core::DauweTechnique>());
-  out.push_back(std::make_unique<DiTechnique>());
-  out.push_back(std::make_unique<MoodyTechnique>());
-  return out;
-}
-
 std::unique_ptr<core::Technique> make_technique(const std::string& name) {
-  if (name == "dauwe") return std::make_unique<core::DauweTechnique>();
   if (name == "di") return std::make_unique<DiTechnique>();
   if (name == "moody") return std::make_unique<MoodyTechnique>();
   if (name == "benoit") return std::make_unique<BenoitTechnique>();

@@ -1,21 +1,16 @@
 #pragma once
 
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "core/technique.h"
 
 namespace mlck::models {
 
-/// The five techniques compared in paper Figure 2, in the paper's legend
-/// order: Dauwe et al., Di et al., Moody et al., Benoit et al., Daly.
-std::vector<std::unique_ptr<core::Technique>> figure2_techniques();
-
-/// The three best techniques of Figures 3-6: Dauwe, Di, Moody.
-std::vector<std::unique_ptr<core::Technique>> multilevel_techniques();
-
-/// Creates a technique by short name: "dauwe", "di", "moody", "benoit",
-/// "daly", "young". Throws std::out_of_range for unknown names.
+/// Creates a baseline technique by short name: "di", "moody", "benoit",
+/// "daly", "young". Throws std::out_of_range for unknown names. The Dauwe
+/// technique is not a core::Technique: engine::select_plan resolves
+/// "dauwe" to EvaluationEngine::optimize and every other name here.
 std::unique_ptr<core::Technique> make_technique(const std::string& name);
 
 }  // namespace mlck::models

@@ -1,6 +1,9 @@
 #include "util/cli.h"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace mlck::util {
@@ -51,6 +54,22 @@ int Cli::get_int(const std::string& name, int fallback) const {
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = value(name);
   return v && !v->empty() ? std::atof(v->c_str()) : fallback;
+}
+
+std::uint64_t Cli::get_u64(const std::string& name,
+                           std::uint64_t fallback) const {
+  const auto v = value(name);
+  if (!v) return fallback;
+  const bool digits =
+      !v->empty() && std::all_of(v->begin(), v->end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      });
+  try {
+    if (digits) return std::stoull(*v);
+  } catch (const std::out_of_range&) {
+  }
+  throw std::out_of_range("--" + name + "=" + *v +
+                          ": expected an unsigned 64-bit integer");
 }
 
 std::string Cli::get_string(const std::string& name,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +27,11 @@ class Cli {
   /// Typed getters with defaults.
   int get_int(const std::string& name, int fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// Full-range unsigned value (seeds). Throws std::out_of_range, naming
+  /// the flag, when the value is not a decimal number that fits in 64
+  /// bits — never wraps or truncates.
+  std::uint64_t get_u64(const std::string& name,
+                        std::uint64_t fallback) const;
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

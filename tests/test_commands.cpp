@@ -242,6 +242,38 @@ TEST(Commands, ScenarioLawFlagOverridesSpecFailureSection) {
   std::filesystem::remove(spec);
 }
 
+TEST(Commands, SeedKeepsItsFull64BitValue) {
+  // --seed and a spec's seed above INT_MAX are one and the same seed, not
+  // truncated to 32 bits (5000000000 mod 2^32 = 705032704).
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto spec = (dir / "mlck_cmd_seed_spec.json").string();
+  const auto seeded = (dir / "mlck_cmd_seed_seeded.json").string();
+  ASSERT_EQ(run({"scenario", "--system=D3", "--emit-spec=" + spec}).code, 0);
+  auto doc = util::Json::parse(core::read_file(spec));
+  doc.make_object()["seed"] = util::Json(5000000000.0);
+  core::write_file(seeded, doc.dump(2));
+
+  const auto from_flag =
+      run({"scenario", "--spec=" + spec, "--trials=20", "--seed=5000000000"});
+  const auto from_spec = run({"scenario", "--spec=" + seeded, "--trials=20"});
+  const auto wrapped =
+      run({"scenario", "--spec=" + spec, "--trials=20", "--seed=705032704"});
+  ASSERT_EQ(from_flag.code, 0) << from_flag.err;
+  ASSERT_EQ(from_spec.code, 0) << from_spec.err;
+  ASSERT_EQ(wrapped.code, 0) << wrapped.err;
+  EXPECT_EQ(from_flag.out, from_spec.out);
+  EXPECT_NE(from_flag.out, wrapped.out);
+
+  for (const char* bad : {"--seed=-1", "--seed=12x", "--seed=1e3",
+                          "--seed=18446744073709551616"}) {
+    const auto r = run({"scenario", "--spec=" + spec, bad});
+    EXPECT_EQ(r.code, 2) << bad;
+    EXPECT_NE(r.err.find("--seed"), std::string::npos) << r.err;
+  }
+  std::filesystem::remove(spec);
+  std::filesystem::remove(seeded);
+}
+
 TEST(Commands, ScenarioOpenMetricsAndTimelineExports) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto spec = (dir / "mlck_cmd_scn_obs_spec.json").string();

@@ -498,6 +498,57 @@ TEST(RunScenario, NonDauweModelGoesThroughTechniqueRegistry) {
   EXPECT_GT(outcome.stats.efficiency.mean, 0.0);
 }
 
+TEST(SelectPlan, ResolvesEveryModelName) {
+  // select_plan is the one place a model name resolves: "dauwe" to the
+  // engine's search, the rest to the baseline registry.
+  ScenarioSpec spec;
+  spec.system = systems::table1_system("D5");
+  EXPECT_EQ(select_plan(spec).technique, "Dauwe et al.");
+  spec.model = "young";
+  EXPECT_EQ(select_plan(spec).technique, "Young");
+  spec.model = "nonesuch";
+  EXPECT_THROW(select_plan(spec), std::out_of_range);
+}
+
+TEST(SelectPlan, DauweHonoursTheSpecsLawAndOptions) {
+  // The spec's failure law, model options and optimizer controls all
+  // reach the search: the selection is bit-equal to the spec's engine.
+  ScenarioSpec spec;
+  spec.system = systems::table1_system("B");
+  spec.distribution = DistributionSpec::parse("weibull:shape=0.5");
+  spec.model_options.checkpoint_failures = false;
+  spec.optimizer.allow_suffix_skipping = false;
+  const auto selected = select_plan(spec);
+  const auto expected = spec.make_engine().optimize(spec.optimizer);
+  EXPECT_EQ(selected.plan.tau0, expected.plan.tau0);
+  EXPECT_EQ(selected.plan.levels, expected.plan.levels);
+  EXPECT_EQ(selected.plan.counts, expected.plan.counts);
+  EXPECT_EQ(selected.predicted_time, expected.expected_time);
+  EXPECT_EQ(selected.predicted_efficiency, expected.efficiency);
+}
+
+TEST(SimulatePlan, DefaultLawIsTheNativeSourceOtherwiseTheRenewalSource) {
+  ScenarioSpec spec;
+  spec.system = systems::table1_system("D3");
+  spec.trials = 30;
+  spec.seed = 11;
+  const auto plan = select_plan(spec).plan;
+  const auto native = simulate_plan(spec, plan);
+  const auto direct =
+      sim::run_trials(spec.system, plan, spec.trials, spec.seed, spec.sim);
+  EXPECT_EQ(native.efficiency.mean, direct.efficiency.mean);
+  EXPECT_EQ(native.total_time.mean, direct.total_time.mean);
+
+  spec.distribution = DistributionSpec::parse("lognormal:sigma=1");
+  const auto law = spec.distribution.make(spec.system);
+  const auto renewal = simulate_plan(spec, plan);
+  const auto direct_renewal = sim::run_trials_with_distribution(
+      spec.system, plan, *law, spec.trials, spec.seed, spec.sim);
+  EXPECT_EQ(renewal.efficiency.mean, direct_renewal.efficiency.mean);
+  EXPECT_EQ(renewal.total_time.mean, direct_renewal.total_time.mean);
+  EXPECT_NE(renewal.efficiency.mean, native.efficiency.mean);
+}
+
 TEST(RunScenario, UnknownModelThrows) {
   ScenarioSpec spec;
   spec.system = systems::table1_system("D5");

@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/dauwe_model.h"
+#include "engine/scenario.h"
+#include "exp/experiments.h"
 #include "models/benoit.h"
 #include "models/daly.h"
 #include "models/di.h"
@@ -172,19 +176,27 @@ TEST(BenoitTechnique, PredictionIsOptimisticOnHarshSystems) {
 }
 
 TEST(Registry, FigureTwoLineupAndNames) {
-  const auto lineup = figure2_techniques();
-  ASSERT_EQ(lineup.size(), 5u);
-  EXPECT_EQ(lineup[0]->name(), "Dauwe et al.");
-  EXPECT_EQ(lineup[1]->name(), "Di et al.");
-  EXPECT_EQ(lineup[2]->name(), "Moody et al.");
-  EXPECT_EQ(lineup[3]->name(), "Benoit et al.");
-  EXPECT_EQ(lineup[4]->name(), "Daly");
-  EXPECT_EQ(multilevel_techniques().size(), 3u);
+  // The lineups are model names for engine::select_plan, in the paper's
+  // legend order; each resolves to the technique the legend names.
+  ASSERT_EQ(exp::kFigure2Models.size(), 5u);
+  engine::ScenarioSpec spec;
+  spec.system = systems::table1_system("D1");
+  const char* const legend[] = {"Dauwe et al.", "Di et al.", "Moody et al.",
+                                "Benoit et al.", "Daly"};
+  for (std::size_t i = 0; i < exp::kFigure2Models.size(); ++i) {
+    spec.model = exp::kFigure2Models[i];
+    EXPECT_EQ(engine::select_plan(spec).technique, legend[i]);
+  }
+  EXPECT_EQ(exp::kMultilevelModels,
+            std::vector<std::string>(exp::kFigure2Models.begin(),
+                                     exp::kFigure2Models.begin() + 3));
 }
 
 TEST(Registry, MakeTechniqueByName) {
-  EXPECT_EQ(make_technique("dauwe")->name(), "Dauwe et al.");
+  // The registry holds the baselines only; "dauwe" resolves in
+  // engine::select_plan (SelectPlan.ResolvesEveryModelName).
   EXPECT_EQ(make_technique("young")->name(), "Young");
+  EXPECT_THROW(make_technique("dauwe"), std::out_of_range);
   EXPECT_THROW(make_technique("unknown"), std::out_of_range);
 }
 

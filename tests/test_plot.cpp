@@ -3,22 +3,20 @@
 #include <sstream>
 
 #include "exp/plot.h"
-#include "models/registry.h"
 #include "systems/test_systems.h"
 
 namespace mlck::exp {
 namespace {
 
 std::vector<ScenarioResult> tiny_rows() {
-  ExperimentOptions opts;
-  opts.trials = 8;
-  opts.seed = 99;
-  const auto techniques = models::multilevel_techniques();
+  engine::ScenarioSpec spec;
+  spec.trials = 8;
+  spec.seed = 99;
   std::vector<ScenarioResult> rows;
-  rows.push_back(run_scenario(systems::table1_system("D2"), "D2",
-                              techniques, opts));
-  rows.push_back(run_scenario(systems::table1_system("D3"), "D3",
-                              techniques, opts));
+  for (const char* name : {"D2", "D3"}) {
+    spec.system = systems::table1_system(name);
+    rows.push_back(compare_models(spec, name, kMultilevelModels));
+  }
   return rows;
 }
 

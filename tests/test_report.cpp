@@ -3,22 +3,20 @@
 #include <sstream>
 
 #include "exp/report.h"
-#include "models/registry.h"
 #include "systems/test_systems.h"
 
 namespace mlck::exp {
 namespace {
 
 std::vector<ScenarioResult> sample_rows() {
-  ExperimentOptions opts;
-  opts.trials = 6;
-  opts.seed = 42;
-  const auto techniques = models::multilevel_techniques();
+  engine::ScenarioSpec spec;
+  spec.trials = 6;
+  spec.seed = 42;
   std::vector<ScenarioResult> rows;
-  rows.push_back(run_scenario(systems::table1_system("D1"), "D1",
-                              techniques, opts));
-  rows.push_back(run_scenario(systems::table1_system("D4"), "D4",
-                              techniques, opts));
+  for (const char* name : {"D1", "D4"}) {
+    spec.system = systems::table1_system(name);
+    rows.push_back(compare_models(spec, name, kMultilevelModels));
+  }
   return rows;
 }
 
@@ -98,9 +96,9 @@ TEST(Report, CsvQuotesCommaLabels) {
 }
 
 TEST(Outcome, PredictionErrorIsPredictedMinusSimulated) {
-  TechniqueOutcome o;
-  o.predicted_efficiency = 0.8;
-  o.sim.efficiency.mean = 0.75;
+  engine::ScenarioOutcome o;
+  o.selected.predicted_efficiency = 0.8;
+  o.stats.efficiency.mean = 0.75;
   EXPECT_NEAR(o.prediction_error(), 0.05, 1e-12);
 }
 
