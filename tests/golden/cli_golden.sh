@@ -14,9 +14,11 @@
 #                   pins the order of the notice lines), then `mlck trace`
 #                   as a four-trial audit and as a single-trial table.
 #   select          `mlck compare` on B and D3, `mlck simulate` on D3 (Dauwe
-#                   plan, Moody plan, adaptive wrapper) and `mlck sensitivity`
-#                   on D3 (Dauwe and Di plans): every command that picks a
-#                   plan by technique name and then simulates or sweeps it.
+#                   plan, Moody plan, adaptive wrapper, and an interval
+#                   schedule the script writes into <workdir>) and
+#                   `mlck sensitivity` on D3 (Dauwe and Di plans): every
+#                   command that picks a plan by technique name, or takes a
+#                   schedule, and then simulates or sweeps it.
 set -u
 mlck=$1
 work=$2
@@ -74,6 +76,8 @@ transcript_select() {
   run simulate --system=D3 --trials=50
   run simulate --system=D3 --trials=50 --technique=moody
   run simulate --system=D3 --trials=50 --adaptive
+  echo '{"levels": [0, 1], "periods": [2.0, 7.5]}' > schedule.json
+  run simulate --system=D3 --trials=50 --intervals=schedule.json
   run sensitivity --system=D3
   run sensitivity --system=D3 --technique=di
 }
