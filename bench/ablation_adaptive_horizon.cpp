@@ -8,7 +8,6 @@
 
 #include "bench_common.h"
 #include "core/adaptive.h"
-#include "sim/trial_runner.h"
 #include "systems/scaling.h"
 #include "util/table.h"
 
@@ -18,7 +17,6 @@ int main(int argc, char** argv) {
   const double mtbf = cli.get_double("mtbf", 15.0);
   const double pfs = cli.get_double("pfs", 20.0);
   mlck::bench::reject_unknown_flags(cli);
-  cfg.require_default_law("ablation_adaptive_horizon");
 
   using mlck::util::Table;
 
@@ -33,10 +31,11 @@ int main(int argc, char** argv) {
                           std::to_string(static_cast<int>(base_time)));
     cfg.spec.system = sys;
     const auto selected = cfg.select_plan(cfg.spec);
-    const auto static_stats = cfg.simulate_plan(cfg.spec, selected.plan);
-    const auto adaptive_stats = mlck::sim::run_trials(
-        sys, mlck::core::make_adaptive(sys, selected.plan), cfg.spec.trials,
-        cfg.spec.seed, cfg.spec.sim, cfg.pool.get());
+    const auto static_stats = cfg.simulate_plan(
+        cfg.spec, mlck::sim::CompiledSchedule::from_plan(sys, selected.plan));
+    const auto adaptive_stats = cfg.simulate_plan(
+        cfg.spec, mlck::sim::CompiledSchedule::from_adaptive(
+                      sys, mlck::core::make_adaptive(sys, selected.plan)));
     table.add_row(
         {Table::num(base_time, 0), selected.plan.to_string(),
          Table::pct(static_stats.efficiency.mean),

@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
                                                          variant.objective);
       const auto best =
           mlck::core::optimize_intervals(objective, sys, {}, cfg.pool.get());
-      const auto stats = cfg.simulate_plan(cfg.spec, best.plan);
+      const auto stats = cfg.simulate_plan(
+          cfg.spec, mlck::sim::CompiledSchedule::from_plan(sys, best.plan));
       // Mean simulated energy per run: shares * mean total time.
       mlck::sim::SimBreakdown minutes = stats.time_shares;
       const double mean_energy =

@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
     // One plan per system (selected under the spec's law, exponential by
     // default), then re-simulated under each law with the same seed.
     const auto selected = cfg.select_plan(cfg.spec);
+    const auto schedule =
+        mlck::sim::CompiledSchedule::from_plan(cfg.spec.system, selected.plan);
 
     // All four laws — including the exponential control — run through the
     // same renewal-source machinery so the rows differ only in the law.
@@ -37,8 +39,8 @@ int main(int argc, char** argv) {
                             "weibull:shape=1.5", "lognormal:sigma=1"}) {
       const auto dist = mlck::engine::DistributionSpec::parse(law).make(
           cfg.spec.system);
-      const auto stats = mlck::sim::run_trials_with_distribution(
-          cfg.spec.system, selected.plan, *dist, cfg.spec.trials,
+      const auto stats = mlck::sim::run_trials(
+          cfg.spec.system, schedule, dist.get(), cfg.spec.trials,
           cfg.spec.seed, cfg.spec.sim, cfg.pool.get());
       table.add_row({name, dist->describe(),
                      Table::pct(stats.efficiency.mean),

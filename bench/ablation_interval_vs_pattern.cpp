@@ -14,7 +14,6 @@
 #include "core/interval_schedule.h"
 #include "models/interval_baseline.h"
 #include "models/interval_tuner.h"
-#include "sim/trial_runner.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
 
@@ -22,7 +21,6 @@ int main(int argc, char** argv) {
   const mlck::util::Cli cli(argc, argv);
   mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
   mlck::bench::reject_unknown_flags(cli);
-  cfg.require_default_law("ablation_interval_vs_pattern");
 
   using mlck::util::Table;
 
@@ -33,12 +31,11 @@ int main(int argc, char** argv) {
     mlck::bench::progress("ablation interval-vs-pattern: " + sys.name);
     cfg.spec.system = sys;
     const auto selected = cfg.select_plan(cfg.spec);
-    const auto pattern = cfg.simulate_plan(cfg.spec, selected.plan);
-    // Interval schedules go to the simulator directly.
+    const auto pattern = cfg.simulate_plan(
+        cfg.spec, mlck::sim::CompiledSchedule::from_plan(sys, selected.plan));
     const auto simulate = [&](const mlck::core::IntervalSchedule& schedule) {
-      return mlck::sim::run_trials(sys, schedule, cfg.spec.trials,
-                                   cfg.spec.seed, cfg.spec.sim,
-                                   cfg.pool.get());
+      return cfg.simulate_plan(
+          cfg.spec, mlck::sim::CompiledSchedule::from_schedule(sys, schedule));
     };
     const auto as_intervals =
         simulate(mlck::core::IntervalSchedule::from_plan(selected.plan));
@@ -47,8 +44,9 @@ int main(int argc, char** argv) {
     // Simulation-tuned periods, then re-scored on the full trial budget
     // with a fresh seed (the tuner's own estimate is optimistically
     // biased by selection).
-    const auto tuned =
-        mlck::models::tune_interval_schedule(sys, {}, cfg.pool.get());
+    const auto law = mlck::engine::sampling_law(cfg.spec);
+    const auto tuned = mlck::models::tune_interval_schedule(
+        sys, {}, cfg.pool.get(), law.get());
     const auto tuned_eval = simulate(tuned.schedule);
     table.add_row({sys.name, Table::pct(pattern.efficiency.mean),
                    Table::pct(pattern.efficiency.stddev),

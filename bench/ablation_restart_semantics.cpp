@@ -24,10 +24,12 @@ int main(int argc, char** argv) {
     mlck::engine::ScenarioSpec spec = cfg.spec;
     spec.system = sys;
     const auto selected = cfg.select_plan(spec);
+    const auto schedule =
+        mlck::sim::CompiledSchedule::from_plan(spec.system, selected.plan);
     spec.sim.restart_policy = mlck::sim::RestartPolicy::kRetrySameLevel;
-    const auto r = cfg.simulate_plan(spec, selected.plan);
+    const auto r = cfg.simulate_plan(spec, schedule);
     spec.sim.restart_policy = mlck::sim::RestartPolicy::kMoodyEscalate;
-    const auto e = cfg.simulate_plan(spec, selected.plan);
+    const auto e = cfg.simulate_plan(spec, schedule);
     table.add_row({sys.name, Table::pct(r.efficiency.mean),
                    Table::pct(e.efficiency.mean),
                    Table::pct(r.efficiency.mean - e.efficiency.mean, 2),

@@ -71,7 +71,8 @@ struct BenchConfig {
     trace_path = cli.get_string("trace", "");
     pool = std::make_unique<util::ThreadPool>(
         app::pool_width(cli.get_int("threads", 0)));
-    // Schedules simulated outside the engine count under the same names.
+    // Trials run outside the engine (explicit laws) count under the same
+    // names.
     spec.sim.metrics = &telemetry.metrics().sim;
     pool->attach_metrics(engine::pool_metrics(telemetry.registry()));
     if (!trace_path.empty()) {
@@ -111,9 +112,9 @@ struct BenchConfig {
                                trace_sink.get());
   }
   sim::TrialStats simulate_plan(const engine::ScenarioSpec& s,
-                                const core::CheckpointPlan& plan) {
-    return engine::simulate_plan(s, plan, pool.get(), &telemetry.registry(),
-                                 trace_sink.get());
+                                const sim::CompiledSchedule& schedule) {
+    return engine::simulate_plan(s, schedule, pool.get(),
+                                 &telemetry.registry(), trace_sink.get());
   }
   engine::ScenarioOutcome run_scenario(const engine::ScenarioSpec& s) {
     return engine::run_scenario(s, pool.get(), &telemetry.registry(),
@@ -123,18 +124,6 @@ struct BenchConfig {
                                      const std::vector<std::string>& models) {
     return exp::compare_models(spec, label, models, pool.get(),
                                &telemetry.registry(), trace_sink.get());
-  }
-
-  /// For drivers that simulate checkpoint schedules, which have no
-  /// renewal failure source: exits 2 unless the failure law is the
-  /// default exponential (whose canonical form is plain "exponential").
-  void require_default_law(const char* driver) const {
-    const std::string law = spec.distribution.to_string();
-    if (law == "exponential") return;
-    std::cerr << "--dist=" << law << ": " << driver
-              << " simulates checkpoint schedules, which support only the "
-                 "default exponential law\n";
-    std::exit(2);
   }
 
   /// Writes <prefix>.dat and <prefix>.gp so `gnuplot <prefix>.gp` renders

@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   mlck::sim::SimOptions opts;
   opts.trace = &trace;
   mlck::sim::RandomFailureSource failures(system, mlck::util::Rng(seed));
-  const auto result =
-      mlck::sim::simulate(system, selected.plan, failures, opts);
+  const auto result = mlck::sim::simulate(
+      system, mlck::sim::CompiledSchedule::from_plan(system, selected.plan),
+      failures, opts);
 
   Table table({"t (min)", "event", "level", "duration", "outcome"});
   for (std::size_t i = 0; i < trace.size() && i < max_events; ++i) {

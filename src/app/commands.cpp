@@ -86,6 +86,16 @@ std::optional<engine::DistributionSpec> law_from(const Cli& cli,
   return engine::DistributionSpec::parse(*text);
 }
 
+/// Applies --law=<law> (same grammar) to @p spec for the commands that
+/// select and simulate (simulate, compare, sensitivity, trace): the law
+/// reaches the Dauwe search and the simulator, and baselines select as in
+/// the figure drivers (their own exponential closed forms).
+void apply_law(const Cli& cli, engine::ScenarioSpec& spec) {
+  if (const auto text = cli.value("law"); text && !text->empty()) {
+    spec.distribution = engine::DistributionSpec::parse(*text);
+  }
+}
+
 int cmd_systems(std::ostream& out) {
   Table table({"name", "levels", "MTBF (min)", "base time (min)"});
   for (const auto& sys : systems::table1_systems()) {
@@ -243,16 +253,17 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
   spec.trials = static_cast<std::size_t>(cli.get_int("trials", 200));
   spec.seed = cli.get_u64("seed", 1);
   spec.sim = parse_sim_options(cli);
+  apply_law(cli, spec);
   const auto& system = spec.system;
+  util::ThreadPool pool(pool_width(0));
 
   // Interval-based schedules bypass the pattern plumbing entirely.
   if (const auto schedule_path = cli.value("intervals");
       schedule_path && !schedule_path->empty()) {
     const auto schedule = core::interval_schedule_from_json(
         util::Json::parse(core::read_file(*schedule_path)));
-    schedule.validate(system);
-    const auto interval_stats = sim::run_trials(system, schedule, spec.trials,
-                                                spec.seed, spec.sim);
+    const auto interval_stats = engine::simulate_plan(
+        spec, sim::CompiledSchedule::from_schedule(system, schedule), &pool);
     Table t({"metric", "value"});
     t.add_row({"schedule", schedule.to_string()});
     t.add_row({"efficiency mean",
@@ -269,15 +280,17 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
     plan = core::plan_from_json(
         util::Json::parse(core::read_file(*plan_path)));
   } else {
-    plan = engine::select_plan(spec).plan;
+    plan = engine::select_plan(spec, &pool).plan;
   }
   plan.validate(system);
   // Horizon-aware wrapper (Sec. IV-F generalized) or the plan itself.
-  const sim::TrialStats stats =
+  const sim::TrialStats stats = engine::simulate_plan(
+      spec,
       cli.get_bool("adaptive", false)
-          ? sim::run_trials(system, core::make_adaptive(system, plan),
-                            spec.trials, spec.seed, spec.sim)
-          : engine::simulate_plan(spec, plan);
+          ? sim::CompiledSchedule::from_adaptive(
+                system, core::make_adaptive(system, plan))
+          : sim::CompiledSchedule::from_plan(system, plan),
+      &pool);
 
   Table table({"metric", "value"});
   table.add_row({"plan", plan.to_string()});
@@ -312,6 +325,7 @@ int cmd_compare(const Cli& cli, std::ostream& out) {
   spec.system = system_from(cli);
   spec.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
   spec.seed = cli.get_u64("seed", 1);
+  apply_law(cli, spec);
   Table table({"technique", "plan", "sim eff", "sd", "predicted",
                "pred err"});
   const auto result =
@@ -336,9 +350,10 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out) {
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
   spec.model = cli.get_string("technique", "dauwe");
+  apply_law(cli, spec);
   const auto& system = spec.system;
   const auto selected = engine::select_plan(spec);
-  const engine::EvaluationEngine eng(system);
+  const engine::EvaluationEngine eng = spec.make_engine();
 
   static constexpr double kFactors[] = {0.25, 0.5, 0.7, 0.85, 1.0,
                                         1.2,  1.5, 2.0, 4.0};
@@ -464,6 +479,11 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_energy(const Cli& cli, std::ostream& out) {
+  if (cli.value("law")) {
+    throw std::out_of_range(
+        "--law is not supported by energy: its objective model prices "
+        "exponential failures only");
+  }
   const auto system = system_from(cli);
   energy::PowerModel power;
   power.checkpoint = cli.get_double("checkpoint-power", 0.7);
@@ -510,14 +530,18 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   }
   engine::ScenarioSpec spec;
   spec.system = system;
+  spec.trials = trials;
+  spec.seed = seed;
+  spec.sim = parse_sim_options(cli);
+  apply_law(cli, spec);
   const auto selected = engine::select_plan(spec);
-  sim::SimOptions opts = parse_sim_options(cli);
+  const auto schedule = sim::CompiledSchedule::from_plan(system, selected.plan);
 
   // The standard sim.* counters are recorded by the multi-trial runner's
   // aggregation loop, so the single-trial path (--trials=1, which calls
   // simulate() directly) reports them at zero.
   TelemetryScope telemetry(cli);
-  opts.metrics = &telemetry.metrics().sim;
+  spec.sim.metrics = &telemetry.metrics().sim;
 
   sim::TrialTraceCapture capture;
   if (trials == 1) {
@@ -526,18 +550,25 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
     // reproducing the same timelines).
     capture.max_trials = 1;
     capture.trials.resize(1);
+    sim::SimOptions opts = spec.sim;
     opts.trace = &capture.trials[0].events;
-    sim::RandomFailureSource failures(system, util::Rng(seed));
+    const auto law = engine::sampling_law(spec);
+    std::unique_ptr<sim::FailureSource> failures;
+    if (law) {
+      failures = std::make_unique<sim::RenewalFailureSource>(
+          system, *law, util::Rng(seed));
+    } else {
+      failures =
+          std::make_unique<sim::RandomFailureSource>(system, util::Rng(seed));
+    }
     capture.trials[0].result =
-        sim::simulate(system, selected.plan, failures, opts);
-    opts.trace = nullptr;
+        sim::simulate(system, schedule, *failures, opts);
   } else {
     // Monte-Carlo batch: trial k's stream is seeded with
     // derive_stream_seed(seed, k), matching `mlck simulate`.
     capture.max_trials = trials;
-    opts.capture = &capture;
-    sim::run_trials(system, selected.plan, trials, seed, opts);
-    opts.capture = nullptr;
+    spec.sim.capture = &capture;
+    engine::simulate_plan(spec, schedule);
   }
 
   int code = 0;

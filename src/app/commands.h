@@ -20,12 +20,13 @@ namespace mlck::app {
 ///   mlck simulate --system=... (--plan=plan.json | --technique=dauwe |
 ///                 --intervals=schedule.json) [--adaptive]
 ///                 [--trials=200] [--seed=1] [--policy=retry|escalate]
-///   mlck compare  --system=... [--trials=100]
+///                 [--law=...]
+///   mlck compare  --system=... [--trials=100] [--law=...]
 ///   mlck energy   --system=... [--checkpoint-power=0.7] [--restart-power=0.6]
-///   mlck sensitivity --system=... [--technique=dauwe]
+///   mlck sensitivity --system=... [--technique=dauwe] [--law=...]
 ///   mlck trace    --system=... [--seed=4] [--max-events=40] [--trials=1]
 ///                 [--format=table|chrome|jsonl] [--audit] [--out=trace.json]
-///                 [telemetry]
+///                 [--law=...] [telemetry]
 ///   mlck scenario --spec=scenario.json [--trials=...] [--seed=...]
 ///                 [--threads=0] [--out=plan.json]
 ///                 [--trace=trace.json] [--trace-trials=8] [telemetry]

@@ -456,22 +456,16 @@ core::TechniqueResult select_wired(
 }
 
 sim::TrialStats simulate_wired(const ScenarioSpec& spec,
-                               const core::CheckpointPlan& plan,
+                               const sim::CompiledSchedule& schedule,
                                util::ThreadPool* pool,
                                std::optional<ScenarioMetrics> wiring,
                                obs::TraceSink* trace) {
   obs::Span span(trace, "scenario.simulate", "scenario");
   sim::SimOptions options = spec.sim;
   if (wiring) options.metrics = &wiring->sim;
-  if (spec.distribution.is_default_exponential()) {
-    // Native Poisson source: bit-compatible with pre-scenario seeds.
-    return sim::run_trials(spec.system, plan, spec.trials, spec.seed,
-                           options, pool);
-  }
-  const auto law = spec.distribution.make(spec.system);
-  return sim::run_trials_with_distribution(spec.system, plan, *law,
-                                           spec.trials, spec.seed, options,
-                                           pool);
+  const auto law = sampling_law(spec);
+  return sim::run_trials(spec.system, schedule, law.get(), spec.trials,
+                         spec.seed, options, pool);
 }
 
 }  // namespace
@@ -484,13 +478,19 @@ core::TechniqueResult select_plan(const ScenarioSpec& spec,
   return select_wired(spec, pool, wiring_for(metrics), trace);
 }
 
+std::unique_ptr<math::FailureDistribution> sampling_law(
+    const ScenarioSpec& spec) {
+  if (spec.distribution.is_default_exponential()) return nullptr;
+  return spec.distribution.make(spec.system);
+}
+
 sim::TrialStats simulate_plan(const ScenarioSpec& spec,
-                              const core::CheckpointPlan& plan,
+                              const sim::CompiledSchedule& schedule,
                               util::ThreadPool* pool,
                               obs::MetricsRegistry* metrics,
                               obs::TraceSink* trace) {
   spec.validate();
-  return simulate_wired(spec, plan, pool, wiring_for(metrics), trace);
+  return simulate_wired(spec, schedule, pool, wiring_for(metrics), trace);
 }
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec,
@@ -501,8 +501,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
   const auto wiring = wiring_for(metrics);
   ScenarioOutcome outcome;
   outcome.selected = select_wired(spec, pool, wiring, trace);
-  outcome.stats =
-      simulate_wired(spec, outcome.selected.plan, pool, wiring, trace);
+  outcome.stats = simulate_wired(
+      spec,
+      sim::CompiledSchedule::from_plan(spec.system, outcome.selected.plan),
+      pool, wiring, trace);
   return outcome;
 }
 

@@ -174,14 +174,21 @@ core::TechniqueResult select_plan(const ScenarioSpec& spec,
                                   obs::MetricsRegistry* metrics = nullptr,
                                   obs::TraceSink* trace = nullptr);
 
-/// Validates @p plan with spec.trials simulated runs on spec.system from
-/// spec.seed under spec.sim — the one place a failure law picks the
-/// sampler: the native Poisson source for the default exponential law
-/// (bit-identical to sim::run_trials on the same seed), a renewal source
-/// drawing from spec.distribution otherwise. Recorded as a
-/// "scenario.simulate" span.
+/// The failure law spec's simulations sample from — the one place a law
+/// picks the sampler: null for the default exponential law (the
+/// simulator's native Poisson source, bit-identical to the pre-scenario
+/// seeds), spec.distribution.make(spec.system) otherwise (a renewal
+/// source). Pass it to sim::run_trials or to a simulator
+/// RenewalFailureSource.
+std::unique_ptr<math::FailureDistribution> sampling_law(
+    const ScenarioSpec& spec);
+
+/// Validates @p schedule (a plan, interval or adaptive schedule compiled
+/// by sim::CompiledSchedule::from_*) with spec.trials simulated runs on
+/// spec.system from spec.seed under spec.sim, sampling failures from
+/// sampling_law(spec). Recorded as a "scenario.simulate" span.
 sim::TrialStats simulate_plan(const ScenarioSpec& spec,
-                              const core::CheckpointPlan& plan,
+                              const sim::CompiledSchedule& schedule,
                               util::ThreadPool* pool = nullptr,
                               obs::MetricsRegistry* metrics = nullptr,
                               obs::TraceSink* trace = nullptr);

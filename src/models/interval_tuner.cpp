@@ -12,11 +12,12 @@ namespace {
 double score(const systems::SystemConfig& system,
              const core::IntervalSchedule& schedule,
              const IntervalTunerOptions& options, util::ThreadPool* pool,
-             std::size_t& evaluations) {
+             const math::FailureDistribution* law, std::size_t& evaluations) {
   ++evaluations;
   // Same seed for every candidate: common random numbers.
-  const auto stats = sim::run_trials(system, schedule, options.trials,
-                                     options.seed, {}, pool);
+  const auto stats = sim::run_trials(
+      system, sim::CompiledSchedule::from_schedule(system, schedule), law,
+      options.trials, options.seed, {}, pool);
   return stats.efficiency.mean;
 }
 
@@ -24,11 +25,12 @@ double score(const systems::SystemConfig& system,
 
 IntervalTuneResult tune_interval_schedule(
     const systems::SystemConfig& system, const IntervalTunerOptions& options,
-    util::ThreadPool* pool) {
+    util::ThreadPool* pool, const math::FailureDistribution* law) {
   IntervalTuneResult result;
   result.schedule = relaxed_interval_schedule(system);
   result.efficiency =
-      score(system, result.schedule, options, pool, result.evaluations);
+      score(system, result.schedule, options, pool, law,
+            result.evaluations);
 
   double step = options.step;
   for (int round = 0; round < options.max_rounds; ++round) {
@@ -40,7 +42,7 @@ IntervalTuneResult tune_interval_schedule(
             std::clamp(candidate.periods[k] * factor,
                        system.base_time * 1e-4, system.base_time / 2.0);
         const double eff =
-            score(system, candidate, options, pool, result.evaluations);
+            score(system, candidate, options, pool, law, result.evaluations);
         if (eff > result.efficiency) {
           result.efficiency = eff;
           result.schedule = std::move(candidate);

@@ -3,6 +3,7 @@
 #include <cstdint>
 
 #include "core/interval_schedule.h"
+#include "math/distribution.h"
 #include "systems/system_config.h"
 #include "util/thread_pool.h"
 
@@ -37,9 +38,12 @@ struct IntervalTuneResult {
 /// few hundred trials.
 ///
 /// Starts from the relaxed closed-form schedule (interval_baseline.h).
+/// Candidates are simulated under @p law (null: the native exponential
+/// source; see sim::run_trials).
 IntervalTuneResult tune_interval_schedule(
     const systems::SystemConfig& system,
     const IntervalTunerOptions& options = {},
-    util::ThreadPool* pool = nullptr);
+    util::ThreadPool* pool = nullptr,
+    const math::FailureDistribution* law = nullptr);
 
 }  // namespace mlck::models

@@ -429,29 +429,6 @@ TrialResult run_one(const systems::SystemConfig& system,
 }  // namespace
 
 TrialResult simulate(const systems::SystemConfig& system,
-                     const core::CheckpointPlan& plan, FailureSource& failures,
-                     const SimOptions& options) {
-  const CompiledSchedule schedule = CompiledSchedule::from_plan(system, plan);
-  return run_one(system, schedule, failures, options);
-}
-
-TrialResult simulate(const systems::SystemConfig& system,
-                     const core::IntervalSchedule& schedule,
-                     FailureSource& failures, const SimOptions& options) {
-  const CompiledSchedule compiled =
-      CompiledSchedule::from_schedule(system, schedule);
-  return run_one(system, compiled, failures, options);
-}
-
-TrialResult simulate(const systems::SystemConfig& system,
-                     const core::AdaptiveSchedule& schedule,
-                     FailureSource& failures, const SimOptions& options) {
-  const CompiledSchedule compiled =
-      CompiledSchedule::from_adaptive(system, schedule);
-  return run_one(system, compiled, failures, options);
-}
-
-TrialResult simulate(const systems::SystemConfig& system,
                      const CompiledSchedule& schedule,
                      RandomFailureSource& failures, const SimOptions& options,
                      const NoFailureTrajectory* fast) {

@@ -3,8 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/adaptive.h"
-#include "core/interval_schedule.h"
 #include "core/plan.h"
 #include "obs/metrics.h"
 #include "sim/accounting.h"
@@ -133,6 +131,8 @@ struct SimOptions {
   SimMetrics* metrics = nullptr;
 };
 
+class NoFailureTrajectory;
+
 /// Event-driven simulation of one application run under multilevel
 /// checkpointing with randomly (or scripted-ly) occurring failures — the
 /// substrate the paper validates every model against (Sec. IV-B).
@@ -151,33 +151,19 @@ struct SimOptions {
 ///  * work rolled back is re-executed, and every second of wall-clock time
 ///    is attributed to exactly one SimBreakdown bucket.
 ///
-/// This overload runs an SCR-style pattern plan (checkpoints after every
-/// tau0 of work, levels following the pattern counts).
-TrialResult simulate(const systems::SystemConfig& system,
-                     const core::CheckpointPlan& plan, FailureSource& failures,
-                     const SimOptions& options = {});
-
-/// Same engine driven by an interval-based schedule (independent per-level
-/// checkpoint periods; see core::IntervalSchedule for the collision rule).
-TrialResult simulate(const systems::SystemConfig& system,
-                     const core::IntervalSchedule& schedule,
-                     FailureSource& failures, const SimOptions& options = {});
-
-/// Same engine driven by a horizon-aware adaptive schedule (Sec. IV-F
-/// generalized; see core::AdaptiveSchedule).
-TrialResult simulate(const systems::SystemConfig& system,
-                     const core::AdaptiveSchedule& schedule,
-                     FailureSource& failures, const SimOptions& options = {});
-
-class NoFailureTrajectory;
-
-/// Batch fast paths: run one trial against a schedule compiled once (see
-/// CompiledSchedule) with the failure source devirtualized — the segment
-/// loop is instantiated directly against the concrete source type, so the
-/// per-event draw inlines. Results are bit-identical to the
-/// plan/interval/adaptive overloads above, which are now thin wrappers
-/// that compile the schedule per call; callers running many trials
-/// against one schedule (sim::run_trials) compile once and use these.
+/// Every schedule kind runs through one engine: compile it with
+/// CompiledSchedule::from_plan (an SCR-style pattern plan: checkpoints
+/// after every tau0 of work, levels following the pattern counts),
+/// from_schedule (independent per-level periods; see
+/// core::IntervalSchedule for the collision rule) or from_adaptive (the
+/// horizon-aware wrapper, Sec. IV-F generalized; see
+/// core::AdaptiveSchedule), and run it here.
+///
+/// This overload runs one trial with the failure source devirtualized: the
+/// segment loop is instantiated directly against the concrete source
+/// type, so the per-event draw inlines. Callers running many trials
+/// against one schedule (sim::run_trials) compile once and call this per
+/// trial.
 ///
 /// @p fast, when non-null and applicable (see sim/fast_forward.h), lets
 /// the trial jump over the uninterrupted prefix before its first failure
@@ -197,8 +183,9 @@ TrialResult simulate(const systems::SystemConfig& system,
                      const SimOptions& options = {},
                      const NoFailureTrajectory* fast = nullptr);
 
-/// Generic compiled-schedule path for custom FailureSource
-/// implementations (one virtual call per event, schedule still compiled).
+/// Generic path for custom FailureSource implementations (one virtual
+/// call per event); bit-identical to the devirtualized overloads above on
+/// the same source.
 TrialResult simulate(const systems::SystemConfig& system,
                      const CompiledSchedule& schedule, FailureSource& failures,
                      const SimOptions& options = {},

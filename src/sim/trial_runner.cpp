@@ -178,46 +178,35 @@ TrialStats batch_trials(const systems::SystemConfig& system,
 }  // namespace
 
 TrialStats run_trials(const systems::SystemConfig& system,
+                      const CompiledSchedule& schedule,
+                      const math::FailureDistribution* law,
+                      std::size_t trials, std::uint64_t seed,
+                      const SimOptions& options, util::ThreadPool* pool) {
+  if (law == nullptr) {
+    return batch_trials<RandomFailureSource>(
+        system, schedule, trials, seed, options, pool,
+        [&](util::Rng rng) { return RandomFailureSource(system, rng); });
+  }
+  return batch_trials<RenewalFailureSource>(
+      system, schedule, trials, seed, options, pool, [&](util::Rng rng) {
+        return RenewalFailureSource(system, *law, rng);
+      });
+}
+
+TrialStats run_trials(const systems::SystemConfig& system,
                       const core::CheckpointPlan& plan, std::size_t trials,
                       std::uint64_t seed, const SimOptions& options,
                       util::ThreadPool* pool) {
-  const CompiledSchedule schedule = CompiledSchedule::from_plan(system, plan);
-  return batch_trials<RandomFailureSource>(
-      system, schedule, trials, seed, options, pool,
-      [&](util::Rng rng) { return RandomFailureSource(system, rng); });
-}
-
-TrialStats run_trials(const systems::SystemConfig& system,
-                      const core::IntervalSchedule& schedule,
-                      std::size_t trials, std::uint64_t seed,
-                      const SimOptions& options, util::ThreadPool* pool) {
-  const CompiledSchedule compiled =
-      CompiledSchedule::from_schedule(system, schedule);
-  return batch_trials<RandomFailureSource>(
-      system, compiled, trials, seed, options, pool,
-      [&](util::Rng rng) { return RandomFailureSource(system, rng); });
-}
-
-TrialStats run_trials(const systems::SystemConfig& system,
-                      const core::AdaptiveSchedule& schedule,
-                      std::size_t trials, std::uint64_t seed,
-                      const SimOptions& options, util::ThreadPool* pool) {
-  const CompiledSchedule compiled =
-      CompiledSchedule::from_adaptive(system, schedule);
-  return batch_trials<RandomFailureSource>(
-      system, compiled, trials, seed, options, pool,
-      [&](util::Rng rng) { return RandomFailureSource(system, rng); });
+  return run_trials(system, CompiledSchedule::from_plan(system, plan),
+                    nullptr, trials, seed, options, pool);
 }
 
 TrialStats run_trials_with_distribution(
     const systems::SystemConfig& system, const core::CheckpointPlan& plan,
     const math::FailureDistribution& interarrival, std::size_t trials,
     std::uint64_t seed, const SimOptions& options, util::ThreadPool* pool) {
-  const CompiledSchedule schedule = CompiledSchedule::from_plan(system, plan);
-  return batch_trials<RenewalFailureSource>(
-      system, schedule, trials, seed, options, pool, [&](util::Rng rng) {
-        return RenewalFailureSource(system, interarrival, rng);
-      });
+  return run_trials(system, CompiledSchedule::from_plan(system, plan),
+                    &interarrival, trials, seed, options, pool);
 }
 
 }  // namespace mlck::sim

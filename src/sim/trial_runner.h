@@ -24,8 +24,13 @@ struct TrialStats {
   std::size_t capped_trials = 0;
 };
 
-/// Runs @p trials independent simulations. Trial k draws its failures
-/// from a RandomFailureSource seeded with derive_stream_seed(seed, k), so
+/// The simulator's one batch entry: runs @p trials independent
+/// simulations of @p schedule (compiled once by
+/// CompiledSchedule::from_{plan,schedule,adaptive}, whatever its kind).
+/// @p law picks the failure sampler: null runs the native
+/// RandomFailureSource (exponential inter-arrivals at the system MTBF),
+/// non-null a RenewalFailureSource drawing inter-arrivals from *law.
+/// Trial k draws from a source seeded with derive_stream_seed(seed, k), so
 /// results are reproducible and independent of both thread count and
 /// execution order. @p pool, when provided, runs trials concurrently.
 /// options.capture, when set, records the event streams of the first
@@ -33,27 +38,20 @@ struct TrialStats {
 /// scheduling); options.trace is ignored for the batch in that case, as a
 /// single shared event vector cannot be written concurrently.
 TrialStats run_trials(const systems::SystemConfig& system,
+                      const CompiledSchedule& schedule,
+                      const math::FailureDistribution* law,
+                      std::size_t trials, std::uint64_t seed,
+                      const SimOptions& options = {},
+                      util::ThreadPool* pool = nullptr);
+
+/// Plan-shaped spellings of the entry above (native and renewal source),
+/// kept as the stable API of the benchmark suite's replay harness
+/// (bench/suite/replay.cpp), which calls both. Each compiles @p plan and
+/// forwards.
+TrialStats run_trials(const systems::SystemConfig& system,
                       const core::CheckpointPlan& plan, std::size_t trials,
                       std::uint64_t seed, const SimOptions& options = {},
                       util::ThreadPool* pool = nullptr);
-
-/// Interval-based schedules through the same Monte-Carlo machinery.
-TrialStats run_trials(const systems::SystemConfig& system,
-                      const core::IntervalSchedule& schedule,
-                      std::size_t trials, std::uint64_t seed,
-                      const SimOptions& options = {},
-                      util::ThreadPool* pool = nullptr);
-
-/// Adaptive horizon-aware schedules through the same machinery.
-TrialStats run_trials(const systems::SystemConfig& system,
-                      const core::AdaptiveSchedule& schedule,
-                      std::size_t trials, std::uint64_t seed,
-                      const SimOptions& options = {},
-                      util::ThreadPool* pool = nullptr);
-
-/// Monte-Carlo batch with failures drawn from an arbitrary inter-arrival
-/// law (renewal process) instead of the exponential default; used by the
-/// failure-distribution ablation.
 TrialStats run_trials_with_distribution(
     const systems::SystemConfig& system, const core::CheckpointPlan& plan,
     const math::FailureDistribution& interarrival, std::size_t trials,

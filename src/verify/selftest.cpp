@@ -146,17 +146,12 @@ void run_welch_validation(const SelftestOptions& options,
       sim::SimOptions sim_options;
       sim_options.max_time_factor = 50.0;
       const std::uint64_t sim_seed = util::derive_stream_seed(seed, 1);
-      sim::TrialStats stats;
-      if (law.family == nullptr) {
-        stats = sim::run_trials(system, best.plan, options.trials, sim_seed,
-                                sim_options, pool);
-      } else {
-        const auto interarrival = law.family->distribution(system.mtbf);
-        stats = sim::run_trials_with_distribution(system, best.plan,
-                                                  *interarrival,
-                                                  options.trials, sim_seed,
-                                                  sim_options, pool);
-      }
+      const auto interarrival = law.family == nullptr
+                                    ? nullptr
+                                    : law.family->distribution(system.mtbf);
+      const sim::TrialStats stats = sim::run_trials(
+          system, sim::CompiledSchedule::from_plan(system, best.plan),
+          interarrival.get(), options.trials, sim_seed, sim_options, pool);
       v.sim_mean = stats.total_time.mean;
       v.sim_stddev = stats.total_time.stddev;
       v.trials = stats.trials;

@@ -18,7 +18,9 @@
 #                   schedule the script writes into <workdir>) and
 #                   `mlck sensitivity` on D3 (Dauwe and Di plans): every
 #                   command that picks a plan by technique name, or takes a
-#                   schedule, and then simulates or sweeps it.
+#                   schedule, and then simulates or sweeps it. Then the same
+#                   commands plus `mlck trace` under --law=weibull:shape=0.5,
+#                   and `mlck energy`, which rejects --law.
 set -u
 mlck=$1
 work=$2
@@ -80,6 +82,16 @@ transcript_select() {
   run simulate --system=D3 --trials=50 --intervals=schedule.json
   run sensitivity --system=D3
   run sensitivity --system=D3 --technique=di
+  law=--law=weibull:shape=0.5
+  run compare --system=D3 --trials=20 $law
+  run simulate --system=D3 --trials=50 $law
+  run simulate --system=D3 --trials=50 --technique=moody $law
+  run simulate --system=D3 --trials=50 --adaptive $law
+  run simulate --system=D3 --trials=50 --intervals=schedule.json $law
+  run sensitivity --system=D3 $law
+  run trace --system=D3 --max-events=12 $law
+  run trace --system=B --trials=4 --audit --max-events=12 $law
+  run energy --system=D3 $law
 }
 
 case $section in

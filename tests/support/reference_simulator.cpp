@@ -506,10 +506,11 @@ TrialStats run_trials(const systems::SystemConfig& system,
       });
 }
 
-TrialStats run_trials_with_distribution(
-    const systems::SystemConfig& system, const core::CheckpointPlan& plan,
-    const math::FailureDistribution& interarrival, std::size_t trials,
-    std::uint64_t seed, const SimOptions& options, util::ThreadPool* pool) {
+TrialStats run_trials(const systems::SystemConfig& system,
+                      const core::CheckpointPlan& plan,
+                      const math::FailureDistribution& interarrival,
+                      std::size_t trials, std::uint64_t seed,
+                      const SimOptions& options, util::ThreadPool* pool) {
   return aggregate_trials(
       trials, pool, options, [&](std::size_t k, const SimOptions& opts) {
         RenewalFailureSource failures(

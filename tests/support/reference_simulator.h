@@ -43,10 +43,11 @@ TrialStats run_trials(const systems::SystemConfig& system,
                       util::ThreadPool* pool = nullptr);
 
 /// Pre-rewrite Monte-Carlo batch with renewal inter-arrivals.
-TrialStats run_trials_with_distribution(
-    const systems::SystemConfig& system, const core::CheckpointPlan& plan,
-    const math::FailureDistribution& interarrival, std::size_t trials,
-    std::uint64_t seed, const SimOptions& options = {},
-    util::ThreadPool* pool = nullptr);
+TrialStats run_trials(const systems::SystemConfig& system,
+                      const core::CheckpointPlan& plan,
+                      const math::FailureDistribution& interarrival,
+                      std::size_t trials, std::uint64_t seed,
+                      const SimOptions& options = {},
+                      util::ThreadPool* pool = nullptr);
 
 }  // namespace mlck::sim::reference

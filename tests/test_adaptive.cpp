@@ -73,8 +73,10 @@ TEST(Adaptive, FailureFreeRunIsNeverSlowerThanStatic) {
   const auto adaptive = make_adaptive(sys, plan);
   sim::ScriptedFailureSource none_a({});
   sim::ScriptedFailureSource none_b({});
-  const auto static_run = sim::simulate(sys, plan, none_a);
-  const auto adaptive_run = sim::simulate(sys, adaptive, none_b);
+  const auto static_run = sim::simulate(
+      sys, sim::CompiledSchedule::from_plan(sys, plan), none_a);
+  const auto adaptive_run = sim::simulate(
+      sys, sim::CompiledSchedule::from_adaptive(sys, adaptive), none_b);
   EXPECT_LT(adaptive_run.total_time, static_run.total_time);
   EXPECT_LT(adaptive_run.checkpoints_completed,
             static_run.checkpoints_completed);
@@ -88,7 +90,9 @@ TEST(Adaptive, ImprovesMeanEfficiencyUnderFailures) {
   const auto plan = CheckpointPlan::full_hierarchy(3.0, {1, 1, 4});
   const auto adaptive = make_adaptive(sys, plan);
   const auto static_stats = sim::run_trials(sys, plan, 150, 9);
-  const auto adaptive_stats = sim::run_trials(sys, adaptive, 150, 9);
+  const auto adaptive_stats = sim::run_trials(
+      sys, sim::CompiledSchedule::from_adaptive(sys, adaptive), nullptr, 150,
+      9);
   EXPECT_GT(adaptive_stats.efficiency.mean,
             static_stats.efficiency.mean - 0.01);
 }
@@ -97,7 +101,8 @@ TEST(Adaptive, RunTrialsOverloadWorks) {
   const auto sys = systems::table1_system("D2");
   const auto plan = CheckpointPlan::full_hierarchy(4.0, {2});
   const auto adaptive = make_adaptive(sys, plan);
-  const auto stats = sim::run_trials(sys, adaptive, 25, 4);
+  const auto stats = sim::run_trials(
+      sys, sim::CompiledSchedule::from_adaptive(sys, adaptive), nullptr, 25, 4);
   EXPECT_EQ(stats.trials, 25u);
   EXPECT_GT(stats.efficiency.mean, 0.3);
   EXPECT_NEAR(stats.time_shares.total(), 1.0, 1e-9);
@@ -143,7 +148,8 @@ TEST(Adaptive, VanishingFailureRateSkipsEveryCheckpoint) {
   }
   EXPECT_FALSE(adaptive.next_checkpoint(0.0).has_value());
   sim::ScriptedFailureSource none({});
-  const auto run = sim::simulate(sys, adaptive, none);
+  const auto run = sim::simulate(
+      sys, sim::CompiledSchedule::from_adaptive(sys, adaptive), none);
   EXPECT_DOUBLE_EQ(run.breakdown.useful, 100.0);
   EXPECT_EQ(run.checkpoints_completed, 0);
   EXPECT_DOUBLE_EQ(run.total_time, 100.0);

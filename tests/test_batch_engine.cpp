@@ -265,12 +265,14 @@ TEST(BatchIdentity, SimulateMatchesReferenceAcrossRandomTrials) {
                                            static_cast<std::size_t>(
                                                sys.levels() - 1),
                                            2));
+    const auto compiled = CompiledSchedule::from_plan(sys, plan);
     for (std::uint64_t k = 0; k < 8; ++k) {
       const std::uint64_t trial_seed = util::derive_stream_seed(seed, k);
       RandomFailureSource a(sys, util::Rng(trial_seed));
       RandomFailureSource b(sys, util::Rng(trial_seed));
       SCOPED_TRACE(::testing::Message() << sys.name << " trial " << k);
-      expect_same_result(simulate(sys, plan, a), reference::simulate(sys, plan, b));
+      expect_same_result(simulate(sys, compiled, a),
+                         reference::simulate(sys, plan, b));
     }
   }
 }
@@ -297,10 +299,9 @@ TEST(BatchIdentity, RenewalProcessMatchesReferenceFieldForField) {
   const auto plan = CheckpointPlan::full_hierarchy(20.0, {4});
   const auto law = math::FailureLaw::weibull(0.7);
   const auto dist = law->distribution(sys.mtbf);
-  const TrialStats batch =
-      run_trials_with_distribution(sys, plan, *dist, 48, 7);
-  const TrialStats ref =
-      reference::run_trials_with_distribution(sys, plan, *dist, 48, 7);
+  const TrialStats batch = run_trials(
+      sys, CompiledSchedule::from_plan(sys, plan), dist.get(), 48, 7);
+  const TrialStats ref = reference::run_trials(sys, plan, *dist, 48, 7);
   expect_same_stats(batch, ref);
 }
 
@@ -330,10 +331,9 @@ TEST(BatchIdentity, TableOneSystemsMatchReferenceUnderEveryLaw) {
       SCOPED_TRACE(::testing::Message() << name << " " << law->describe());
       const auto dist = law->distribution(sys.mtbf);
       expect_same_stats(
-          run_trials_with_distribution(sys, plan, *dist, kTrials, kSeed, {},
-                                       &pool),
-          reference::run_trials_with_distribution(sys, plan, *dist, kTrials,
-                                                  kSeed, {}, &pool));
+          run_trials(sys, CompiledSchedule::from_plan(sys, plan), dist.get(),
+                     kTrials, kSeed, {}, &pool),
+          reference::run_trials(sys, plan, *dist, kTrials, kSeed, {}, &pool));
     }
   }
 }

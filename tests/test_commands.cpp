@@ -12,6 +12,9 @@
 
 #include "app/commands.h"
 #include "core/serialize.h"
+#include "engine/scenario.h"
+#include "systems/test_systems.h"
+#include "util/table.h"
 
 namespace mlck::app {
 namespace {
@@ -536,6 +539,56 @@ TEST(Commands, EnergyComparesObjectives) {
   EXPECT_NE(r.out.find("time"), std::string::npos);
   EXPECT_NE(r.out.find("EDP"), std::string::npos);
   EXPECT_NE(r.out.find("sim energy/run"), std::string::npos);
+}
+
+/// The value cell of the first output line starting with @p label.
+std::string row_value(const std::string& out, const std::string& label) {
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(label, 0) != 0) continue;
+    const auto end = line.find_last_not_of(' ');
+    const auto begin = line.find_first_not_of(' ', label.size());
+    if (begin == std::string::npos || end < begin) return "";
+    return line.substr(begin, end - begin + 1);
+  }
+  return "<no row " + label + ">";
+}
+
+TEST(Commands, SimulateHonoursTheLawAndEnergyRejectsIt) {
+  const std::string law = "weibull:shape=0.5";
+  const auto r = run({"simulate", "--system=D3", "--trials=30", "--seed=5",
+                      "--law=" + law});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.err.find("unrecognized"), std::string::npos) << r.err;
+
+  // The same answer through the engine: the Dauwe plan selected under the
+  // law, then simulated under it.
+  engine::ScenarioSpec spec;
+  spec.system = systems::table1_system("D3");
+  spec.trials = 30;
+  spec.seed = 5;
+  spec.distribution = engine::DistributionSpec::parse(law);
+  const auto plan = engine::select_plan(spec).plan;
+  const auto stats = engine::simulate_plan(
+      spec, sim::CompiledSchedule::from_plan(spec.system, plan));
+  using util::Table;
+  EXPECT_EQ(row_value(r.out, "plan"), plan.to_string());
+  EXPECT_EQ(row_value(r.out, "efficiency mean"),
+            Table::pct(stats.efficiency.mean));
+  EXPECT_EQ(row_value(r.out, "efficiency stddev"),
+            Table::pct(stats.efficiency.stddev));
+  EXPECT_EQ(row_value(r.out, "total time mean (min)"),
+            Table::num(stats.total_time.mean, 1));
+  EXPECT_EQ(row_value(r.out, "mean failures/run"),
+            Table::num(stats.mean_failures, 1));
+  const auto exponential =
+      run({"simulate", "--system=D3", "--trials=30", "--seed=5"});
+  ASSERT_EQ(exponential.code, 0) << exponential.err;
+  EXPECT_NE(row_value(exponential.out, "plan"), plan.to_string());
+
+  const auto energy = run({"energy", "--system=D3", "--law=" + law});
+  EXPECT_EQ(energy.code, 2);
+  EXPECT_NE(energy.err.find("--law"), std::string::npos) << energy.err;
 }
 
 TEST(Commands, EnergyRejectsNegativePower) {

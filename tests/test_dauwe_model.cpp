@@ -64,7 +64,8 @@ TEST(DauweModel, FailureFreeRunMatchesSimulatorExactly) {
                         Case{5.0, {0, 3}}}) { // period 20, 18 periods
     const auto plan = CheckpointPlan::full_hierarchy(c.tau0, c.counts);
     sim::ScriptedFailureSource no_failures({});
-    const auto trial = sim::simulate(sys, plan, no_failures);
+    const auto trial = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), no_failures);
     EXPECT_NEAR(model.expected_time(sys, plan), trial.total_time, 1e-6)
         << plan.to_string();
   }

@@ -154,7 +154,8 @@ TEST(EnergyObjective, SimulatedEnergyTracksPredictedEnergy) {
   for (int k = 0; k < trials; ++k) {
     sim::RandomFailureSource src(
         sys, util::Rng(util::derive_stream_seed(77, std::uint64_t(k))));
-    const auto r = sim::simulate(sys, plan, src);
+    const auto r = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), src);
     total_energy += power.energy(r.breakdown);
   }
   EXPECT_NEAR(total_energy / trials / predicted_energy, 1.0, 0.05);

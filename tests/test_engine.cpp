@@ -533,17 +533,19 @@ TEST(SimulatePlan, DefaultLawIsTheNativeSourceOtherwiseTheRenewalSource) {
   spec.trials = 30;
   spec.seed = 11;
   const auto plan = select_plan(spec).plan;
-  const auto native = simulate_plan(spec, plan);
+  const auto schedule = sim::CompiledSchedule::from_plan(spec.system, plan);
+  const auto native = simulate_plan(spec, schedule);
   const auto direct =
       sim::run_trials(spec.system, plan, spec.trials, spec.seed, spec.sim);
   EXPECT_EQ(native.efficiency.mean, direct.efficiency.mean);
   EXPECT_EQ(native.total_time.mean, direct.total_time.mean);
+  EXPECT_EQ(sampling_law(spec), nullptr);
 
   spec.distribution = DistributionSpec::parse("lognormal:sigma=1");
   const auto law = spec.distribution.make(spec.system);
-  const auto renewal = simulate_plan(spec, plan);
-  const auto direct_renewal = sim::run_trials_with_distribution(
-      spec.system, plan, *law, spec.trials, spec.seed, spec.sim);
+  const auto renewal = simulate_plan(spec, schedule);
+  const auto direct_renewal = sim::run_trials(
+      spec.system, schedule, law.get(), spec.trials, spec.seed, spec.sim);
   EXPECT_EQ(renewal.efficiency.mean, direct_renewal.efficiency.mean);
   EXPECT_EQ(renewal.total_time.mean, direct_renewal.total_time.mean);
   EXPECT_NE(renewal.efficiency.mean, native.efficiency.mean);

@@ -79,7 +79,8 @@ TEST(FuzzInvariants, SimulatorAccountingAlwaysBalances) {
       opts.restart_policy = sim::RestartPolicy::kMoodyEscalate;
     }
     sim::RandomFailureSource src(sys, util::Rng(rng.next_u64()));
-    const auto r = sim::simulate(sys, plan, src, opts);
+    const auto r = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), src, opts);
     ASSERT_NEAR(r.breakdown.total(), r.total_time,
                 1e-6 * (1.0 + r.total_time))
         << "round " << round << " " << plan.to_string();
@@ -128,8 +129,10 @@ TEST(FuzzInvariants, AdaptiveNeverChecksMoreThanStaticFailureFree) {
     const auto plan = random_plan(rng, sys);
     const auto adaptive = core::make_adaptive(sys, plan);
     sim::ScriptedFailureSource a({}), b({});
-    const auto static_run = sim::simulate(sys, plan, a);
-    const auto adaptive_run = sim::simulate(sys, adaptive, b);
+    const auto static_run = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), a);
+    const auto adaptive_run = sim::simulate(
+        sys, sim::CompiledSchedule::from_adaptive(sys, adaptive), b);
     ASSERT_LE(adaptive_run.checkpoints_completed,
               static_run.checkpoints_completed)
         << "round " << round;

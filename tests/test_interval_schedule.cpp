@@ -117,7 +117,8 @@ TEST(IntervalSim, FailureFreeTimeline) {
   const auto sys = toy_system();
   const auto s = toy_schedule();
   sim::ScriptedFailureSource src({});
-  const auto r = sim::simulate(sys, s, src);
+  const auto r = sim::simulate(
+      sys, sim::CompiledSchedule::from_schedule(sys, s), src);
   // 20 work + checkpoints at 5,10,15 (L0, 1 min) and 7,14 (L1, 2 min).
   EXPECT_DOUBLE_EQ(r.total_time, 20.0 + 3.0 + 4.0);
   EXPECT_EQ(r.checkpoints_completed, 5);
@@ -131,7 +132,8 @@ TEST(IntervalSim, SeverityOneRestoresFromTheIndependentLevelOneGrid) {
   // At t=11 the work position is 7 + (11 - 10) = 8; a severity-1 failure
   // restores from the level-1 checkpoint holding work 7.
   sim::ScriptedFailureSource src({{11.0, 1}});
-  const auto r = sim::simulate(sys, s, src);
+  const auto r = sim::simulate(
+      sys, sim::CompiledSchedule::from_schedule(sys, s), src);
   EXPECT_EQ(r.restarts_completed, 1);
   EXPECT_DOUBLE_EQ(r.breakdown.restart_ok, 2.0);
   EXPECT_DOUBLE_EQ(r.breakdown.rework_compute, 1.0);  // work 8 -> 7
@@ -150,8 +152,10 @@ TEST(IntervalSim, PatternEquivalentScheduleGivesIdenticalTrajectories) {
                                util::Rng(util::derive_stream_seed(3, seed)));
     sim::RandomFailureSource b(sys,
                                util::Rng(util::derive_stream_seed(3, seed)));
-    const auto ra = sim::simulate(sys, plan, a);
-    const auto rb = sim::simulate(sys, equivalent, b);
+    const auto ra = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), a);
+    const auto rb = sim::simulate(
+        sys, sim::CompiledSchedule::from_schedule(sys, equivalent), b);
     EXPECT_DOUBLE_EQ(ra.total_time, rb.total_time) << seed;
     EXPECT_EQ(ra.failures, rb.failures);
     EXPECT_EQ(ra.checkpoints_completed, rb.checkpoints_completed);
@@ -163,7 +167,8 @@ TEST(IntervalSim, PatternEquivalentScheduleGivesIdenticalTrajectories) {
 TEST(IntervalSim, RunTrialsOverloadAggregates) {
   const auto sys = systems::table1_system("D2");
   const auto s = models::relaxed_interval_schedule(sys);
-  const auto stats = sim::run_trials(sys, s, 30, 5);
+  const auto stats = sim::run_trials(
+      sys, sim::CompiledSchedule::from_schedule(sys, s), nullptr, 30, 5);
   EXPECT_EQ(stats.trials, 30u);
   EXPECT_GT(stats.efficiency.mean, 0.3);
   EXPECT_LE(stats.efficiency.max, 1.0);
@@ -198,7 +203,9 @@ TEST(IntervalTuner, ImprovesOrMatchesTheRelaxedStart) {
   // point's (it only accepts improvements).
   const auto start = models::relaxed_interval_schedule(sys);
   const auto start_eff =
-      sim::run_trials(sys, start, opts.trials, opts.seed).efficiency.mean;
+      sim::run_trials(sys, sim::CompiledSchedule::from_schedule(sys, start),
+                      nullptr, opts.trials, opts.seed)
+          .efficiency.mean;
   EXPECT_GE(tuned.efficiency, start_eff - 1e-12);
   EXPECT_GT(tuned.evaluations, 1u);
   EXPECT_NO_THROW(tuned.schedule.validate(sys));
@@ -234,7 +241,8 @@ TEST(Trace, RecordsTheFullTimeline) {
   sim::SimOptions opts;
   opts.trace = &trace;
   sim::ScriptedFailureSource src({{11.0, 0}});
-  const auto r = sim::simulate(sys, s, src, opts);
+  const auto r = sim::simulate(
+      sys, sim::CompiledSchedule::from_schedule(sys, s), src, opts);
   ASSERT_FALSE(trace.empty());
   // Wall-clock continuity: events abut (scratch restarts are zero-width).
   for (std::size_t i = 1; i < trace.size(); ++i) {
@@ -263,7 +271,7 @@ TEST(Trace, CheckpointEventsCarryLevels) {
   sim::SimOptions opts;
   opts.trace = &trace;
   sim::ScriptedFailureSource src({});
-  sim::simulate(sys, plan, src, opts);
+  sim::simulate(sys, sim::CompiledSchedule::from_plan(sys, plan), src, opts);
   std::vector<int> ckpt_levels;
   for (const auto& ev : trace) {
     if (ev.kind == sim::TraceEvent::Kind::kCheckpoint) {
@@ -303,10 +311,9 @@ TEST(RenewalSource, WeibullBreaksTheExponentialPrediction) {
   const auto plan = CheckpointPlan::full_hierarchy(1.3, {3});
   const math::Exponential expo(sys.lambda_total());
   const math::Weibull bursty = math::Weibull::with_mean(sys.mtbf, 0.6);
-  const auto base =
-      sim::run_trials_with_distribution(sys, plan, expo, 120, 21);
-  const auto heavy =
-      sim::run_trials_with_distribution(sys, plan, bursty, 120, 21);
+  const auto schedule = sim::CompiledSchedule::from_plan(sys, plan);
+  const auto base = sim::run_trials(sys, schedule, &expo, 120, 21);
+  const auto heavy = sim::run_trials(sys, schedule, &bursty, 120, 21);
   const double predicted =
       sys.base_time / DauweModel{}.expected_time(sys, plan);
   EXPECT_LT(std::abs(base.efficiency.mean - predicted), 0.02);

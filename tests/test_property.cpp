@@ -124,7 +124,8 @@ TEST_P(SimulationIntegrity, EveryMinuteAccountedFor) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     sim::RandomFailureSource src(
         sys, util::Rng(util::derive_stream_seed(31, seed)));
-    const auto r = sim::simulate(sys, plan, src, opts);
+    const auto r = sim::simulate(
+        sys, sim::CompiledSchedule::from_plan(sys, plan), src, opts);
     EXPECT_NEAR(r.breakdown.total(), r.total_time,
                 1e-6 * (1.0 + r.total_time));
     if (!r.capped) {

@@ -28,7 +28,7 @@ TrialResult run_script(Script script, const SimOptions& options = {}) {
   const auto sys = toy_system();
   const auto plan = toy_plan();
   ScriptedFailureSource src(std::move(script));
-  return simulate(sys, plan, src, options);
+  return simulate(sys, CompiledSchedule::from_plan(sys, plan), src, options);
 }
 
 void expect_accounting_consistent(const TrialResult& r) {
@@ -55,7 +55,8 @@ TEST(Simulator, PartialFinalIntervalEndsTheRun) {
   sys.base_time = 12.0;  // intervals 5, 5, 2
   const auto plan = toy_plan();
   ScriptedFailureSource src({});
-  const TrialResult r = simulate(sys, plan, src);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src);
   EXPECT_DOUBLE_EQ(r.breakdown.useful, 12.0);
   EXPECT_EQ(r.checkpoints_completed, 2);  // after j=1 and j=2 only
   EXPECT_DOUBLE_EQ(r.total_time, 14.0);
@@ -158,7 +159,8 @@ TEST(Simulator, MoodyPolicyRetriesAtTopLevel) {
   // Level-1 checkpoint completes at t=9 (5 work + 4 ckpt). Failure at 10,
   // restart [10,14) interrupted at 11 by another severity-1 failure.
   ScriptedFailureSource src({{10.0, 1}, {11.0, 1}});
-  const TrialResult r = simulate(sys, plan, src, moody);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src, moody);
   EXPECT_EQ(r.restarts_failed, 1);
   EXPECT_EQ(r.restarts_completed, 1);
   EXPECT_EQ(r.scratch_restarts, 0);
@@ -198,12 +200,14 @@ TEST(Simulator, FinalCheckpointOption) {
   SimOptions opts;
   opts.take_final_checkpoint = true;
   ScriptedFailureSource with({});
-  const TrialResult r = simulate(sys, plan, with, opts);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), with, opts);
   EXPECT_EQ(r.checkpoints_completed, 2);
   EXPECT_DOUBLE_EQ(r.total_time, 10.0 + 8.0);
 
   ScriptedFailureSource without({});
-  const TrialResult r2 = simulate(sys, plan, without);
+  const TrialResult r2 = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), without);
   EXPECT_EQ(r2.checkpoints_completed, 1);
   EXPECT_DOUBLE_EQ(r2.total_time, 10.0 + 4.0);
 }
@@ -217,7 +221,8 @@ TEST(Simulator, HopelessSystemHitsTheTimeCap) {
   SimOptions opts;
   opts.max_time_factor = 10.0;
   RandomFailureSource src(sys, util::Rng(1234));
-  const TrialResult r = simulate(sys, plan, src, opts);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src, opts);
   EXPECT_TRUE(r.capped);
   EXPECT_GE(r.total_time, 1000.0);
   EXPECT_LT(r.efficiency(), 0.05);
@@ -235,7 +240,8 @@ TEST(Simulator, CappedTrialClampsAtExactlyTheCap) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     RandomFailureSource src(sys,
                             util::Rng(util::derive_stream_seed(9, seed)));
-    const TrialResult r = simulate(sys, plan, src, opts);
+    const TrialResult r = simulate(
+        sys, CompiledSchedule::from_plan(sys, plan), src, opts);
     ASSERT_TRUE(r.capped);
     EXPECT_DOUBLE_EQ(r.total_time, cap);
     expect_accounting_consistent(r);
@@ -251,7 +257,8 @@ TEST(Simulator, CapTruncationAttributionIsDeterministic) {
   SimOptions opts;
   opts.max_time_factor = 7.5 / sys.base_time;  // cap at t = 7.5
   ScriptedFailureSource src({});
-  const TrialResult r = simulate(sys, plan, src, opts);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src, opts);
   EXPECT_TRUE(r.capped);
   EXPECT_DOUBLE_EQ(r.total_time, 7.5);
   // [0,5) compute, [5,6) level-1 checkpoint, [6,7.5) truncated compute.
@@ -269,7 +276,8 @@ TEST(Simulator, CapDuringCheckpointChargesTheFailedBucket) {
   SimOptions opts;
   opts.max_time_factor = 5.5 / sys.base_time;
   ScriptedFailureSource src({});
-  const TrialResult r = simulate(sys, plan, src, opts);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src, opts);
   EXPECT_TRUE(r.capped);
   EXPECT_DOUBLE_EQ(r.total_time, 5.5);
   EXPECT_DOUBLE_EQ(r.breakdown.useful, 5.0);
@@ -284,7 +292,8 @@ TEST(Simulator, RandomRunAccountingAlwaysBalances) {
   const auto plan = CheckpointPlan::full_hierarchy(2.0, {4});
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     RandomFailureSource src(sys, util::Rng(util::derive_stream_seed(7, seed)));
-    const TrialResult r = simulate(sys, plan, src);
+    const TrialResult r = simulate(
+        sys, CompiledSchedule::from_plan(sys, plan), src);
     EXPECT_FALSE(r.capped);
     EXPECT_NEAR(r.breakdown.total(), r.total_time, 1e-6 * r.total_time);
     EXPECT_DOUBLE_EQ(r.breakdown.useful, sys.base_time);
@@ -298,7 +307,8 @@ TEST(Simulator, RestartCostsComeFromTheRestartVectorNotCheckpoint) {
   sys.restart_cost = {0.5, 2.0};  // decouple from checkpoint costs
   const auto plan = toy_plan();
   ScriptedFailureSource src({{7.0, 0}});
-  const TrialResult r = simulate(sys, plan, src);
+  const TrialResult r = simulate(
+      sys, CompiledSchedule::from_plan(sys, plan), src);
   EXPECT_DOUBLE_EQ(r.breakdown.restart_ok, 0.5);
   expect_accounting_consistent(r);
 }

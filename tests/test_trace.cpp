@@ -8,7 +8,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/adaptive.h"
+#include "core/interval_schedule.h"
 #include "engine/scenario.h"
+#include "math/failure_law.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
 #include "sim/trial_runner.h"
@@ -28,17 +31,28 @@ CheckpointPlan plan_for(const systems::SystemConfig& sys, double tau0) {
   return CheckpointPlan::full_hierarchy(tau0, counts);
 }
 
-/// Runs a captured Monte-Carlo batch and returns the capture.
+/// Runs a captured Monte-Carlo batch of @p schedule under @p law (null:
+/// the native exponential source) and returns the capture.
 sim::TrialTraceCapture capture_trials(const systems::SystemConfig& sys,
-                                      const CheckpointPlan& plan,
+                                      const sim::CompiledSchedule& schedule,
+                                      const math::FailureDistribution* law,
                                       std::size_t trials, std::uint64_t seed,
                                       sim::SimOptions opts = {},
                                       util::ThreadPool* pool = nullptr) {
   sim::TrialTraceCapture capture;
   capture.max_trials = trials;
   opts.capture = &capture;
-  sim::run_trials(sys, plan, trials, seed, opts, pool);
+  sim::run_trials(sys, schedule, law, trials, seed, opts, pool);
   return capture;
+}
+
+sim::TrialTraceCapture capture_trials(const systems::SystemConfig& sys,
+                                      const CheckpointPlan& plan,
+                                      std::size_t trials, std::uint64_t seed,
+                                      sim::SimOptions opts = {},
+                                      util::ThreadPool* pool = nullptr) {
+  return capture_trials(sys, sim::CompiledSchedule::from_plan(sys, plan),
+                        nullptr, trials, seed, opts, pool);
 }
 
 TEST(TraceSink, SpanRecordsOnTheCallingThreadsTrack) {
@@ -116,7 +130,31 @@ TEST(TraceAudit, BreakdownBitForBitAcrossSystemsAndSeeds) {
       }
     }
   }
-  EXPECT_EQ(audited, 3u * 3u * 6u);
+  // Interval and adaptive schedules under Weibull(0.7) and log-normal(1.0).
+  const auto sys = systems::table1_system("D3");
+  const auto weibull = math::FailureLaw::weibull(0.7);
+  const auto lognormal = math::FailureLaw::lognormal(1.0);
+  const sim::CompiledSchedule schedules[] = {
+      sim::CompiledSchedule::from_schedule(
+          sys, core::IntervalSchedule{{0, 1}, {2.0, 7.5}}),
+      sim::CompiledSchedule::from_adaptive(
+          sys, core::make_adaptive(sys, plan_for(sys, 3.0)))};
+  for (const auto& schedule : schedules) {
+    for (const auto* family : {weibull.get(), lognormal.get()}) {
+      const auto law = family->distribution(sys.mtbf);
+      const auto capture = capture_trials(sys, schedule, law.get(), 6, 42);
+      ASSERT_EQ(capture.trials.size(), 6u);
+      for (const auto& trial : capture.trials) {
+        const auto report =
+            audit_trial_trace(sys, trial.result, trial.events);
+        EXPECT_TRUE(report.ok())
+            << law->describe() << " trial " << trial.trial << ": "
+            << (report.errors.empty() ? "" : report.errors.front());
+        ++audited;
+      }
+    }
+  }
+  EXPECT_EQ(audited, 3u * 3u * 6u + 2u * 2u * 6u);
 }
 
 TEST(TraceAudit, ScratchRestartTrialsAuditClean) {

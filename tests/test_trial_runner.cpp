@@ -3,6 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/adaptive.h"
+#include "core/interval_schedule.h"
+#include "math/failure_law.h"
 #include "sim/trial_runner.h"
 #include "systems/test_systems.h"
 
@@ -39,6 +42,31 @@ TEST(TrialRunner, PoolAndSerialExecutionAgreeExactly) {
   EXPECT_DOUBLE_EQ(serial.efficiency.mean, pooled.efficiency.mean);
   EXPECT_DOUBLE_EQ(serial.efficiency.stddev, pooled.efficiency.stddev);
   EXPECT_DOUBLE_EQ(serial.time_shares.useful, pooled.time_shares.useful);
+
+  // Interval and adaptive schedules under renewal laws, bit for bit.
+  const auto weibull = math::FailureLaw::weibull(0.7);
+  const auto lognormal = math::FailureLaw::lognormal(1.0);
+  const CompiledSchedule schedules[] = {
+      CompiledSchedule::from_schedule(
+          sys, core::IntervalSchedule{{0, 1}, {2.0, 7.5}}),
+      CompiledSchedule::from_adaptive(sys, core::make_adaptive(sys, plan))};
+  for (const auto& schedule : schedules) {
+    for (const auto* family : {weibull.get(), lognormal.get()}) {
+      const auto law = family->distribution(sys.mtbf);
+      SCOPED_TRACE(law->describe());
+      const TrialStats s = run_trials(sys, schedule, law.get(), 32, 99);
+      const TrialStats p =
+          run_trials(sys, schedule, law.get(), 32, 99, {}, &pool);
+      EXPECT_EQ(s.efficiency.mean, p.efficiency.mean);
+      EXPECT_EQ(s.efficiency.stddev, p.efficiency.stddev);
+      EXPECT_EQ(s.total_time.mean, p.total_time.mean);
+      EXPECT_EQ(s.mean_failures, p.mean_failures);
+      EXPECT_EQ(s.capped_trials, p.capped_trials);
+      EXPECT_EQ(s.time_shares.useful, p.time_shares.useful);
+      EXPECT_EQ(s.time_shares.restart_failed, p.time_shares.restart_failed);
+      EXPECT_EQ(s.time_shares.rework_restart, p.time_shares.rework_restart);
+    }
+  }
 }
 
 TEST(TrialRunner, TimeSharesNormalizedToOne) {
