@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   power.checkpoint = ckpt_power;
   power.restart = restart_power;
   power.validate();
-  const mlck::core::DauweModel base;
+  // Objectives select under the --dist law, as the simulation samples it.
+  const mlck::core::DauweModel base({}, cfg.spec.distribution.family());
 
   std::cout << "Extension: objective comparison (compute power 1.0, "
                "checkpoint "

@@ -15,10 +15,7 @@
 #include "exp/experiments.h"
 #include "core/optimizer.h"
 #include "core/serialize.h"
-#include "models/daly.h"
-#include "models/di.h"
-#include "models/moody.h"
-#include "models/young.h"
+#include "models/registry.h"
 #include "obs/attribution.h"
 #include "obs/exposition.h"
 #include "obs/registry.h"
@@ -39,15 +36,6 @@ namespace {
 
 using util::Cli;
 using util::Table;
-
-std::unique_ptr<core::ExecutionTimeModel> make_model(
-    const std::string& name) {
-  if (name == "di") return std::make_unique<models::DiModel>();
-  if (name == "moody") return std::make_unique<models::MoodyModel>();
-  if (name == "daly") return std::make_unique<models::DalyModel>();
-  if (name == "young") return std::make_unique<models::YoungModel>();
-  throw std::out_of_range("unknown model: " + name);
-}
 
 sim::SimOptions parse_sim_options(const Cli& cli) {
   sim::SimOptions opts;
@@ -87,9 +75,9 @@ std::optional<engine::DistributionSpec> law_from(const Cli& cli,
 }
 
 /// Applies --law=<law> (same grammar) to @p spec for the commands that
-/// select and simulate (simulate, compare, sensitivity, trace): the law
-/// reaches the Dauwe search and the simulator, and baselines select as in
-/// the figure drivers (their own exponential closed forms).
+/// select and simulate (simulate, compare, sensitivity, trace, energy):
+/// the law reaches the Dauwe search and the simulator, and baselines
+/// select as in the figure drivers (their own exponential closed forms).
 void apply_law(const Cli& cli, engine::ScenarioSpec& spec) {
   if (const auto text = cli.value("law"); text && !text->empty()) {
     spec.distribution = engine::DistributionSpec::parse(*text);
@@ -233,7 +221,7 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
     const auto system = system_from(cli);
     plan = core::plan_from_json(plan_document(cli));
     plan.validate(system);
-    prediction = make_model(model_name)->predict(system, plan);
+    prediction = models::make_model(model_name)->predict(system, plan);
   }
   Table table({"field", "value"});
   table.add_row({"plan", plan.to_string()});
@@ -479,19 +467,18 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
 }
 
 int cmd_energy(const Cli& cli, std::ostream& out) {
-  if (cli.value("law")) {
-    throw std::out_of_range(
-        "--law is not supported by energy: its objective model prices "
-        "exponential failures only");
-  }
-  const auto system = system_from(cli);
+  engine::ScenarioSpec spec;
+  spec.system = system_from(cli);
+  apply_law(cli, spec);
+  const auto& system = spec.system;
   energy::PowerModel power;
   power.checkpoint = cli.get_double("checkpoint-power", 0.7);
   power.restart = cli.get_double("restart-power", 0.6);
   power.validate();
   const auto trials = static_cast<std::size_t>(cli.get_int("trials", 100));
   const auto seed = cli.get_u64("seed", 1);
-  const core::DauweModel base;
+  const core::DauweModel base({}, spec.distribution.family());
+  const auto law = engine::sampling_law(spec);
 
   Table table({"objective", "plan", "sim eff", "sim energy/run"});
   struct Variant {
@@ -504,7 +491,9 @@ int cmd_energy(const Cli& cli, std::ostream& out) {
         Variant{"EDP", energy::Objective::kEdp}}) {
     const energy::EnergyObjectiveModel objective(base, power, v.objective);
     const auto best = core::optimize_intervals(objective, system);
-    const auto stats = sim::run_trials(system, best.plan, trials, seed);
+    const auto stats = sim::run_trials(
+        system, sim::CompiledSchedule::from_plan(system, best.plan),
+        law.get(), trials, seed);
     sim::SimBreakdown shares = stats.time_shares;
     table.add_row({v.label, best.plan.to_string(),
                    Table::pct(stats.efficiency.mean),
@@ -703,10 +692,7 @@ verify::VerifyLaw to_verify_law(const engine::DistributionSpec& spec) {
 /// shape=0.5+lognormal"). '+' separates entries because ',' already
 /// separates parameters inside one entry.
 std::vector<verify::VerifyLaw> parse_law_pool(const std::string& text) {
-  if (text == "all") {
-    return {verify::exponential_verify_law(), verify::weibull_verify_law(0.7),
-            verify::lognormal_verify_law(1.0)};
-  }
+  if (text == "all") return verify::all_verify_laws();
   std::vector<verify::VerifyLaw> pool;
   std::size_t start = 0;
   while (start <= text.size()) {

@@ -23,6 +23,7 @@ namespace mlck::app {
 ///                 [--law=...]
 ///   mlck compare  --system=... [--trials=100] [--law=...]
 ///   mlck energy   --system=... [--checkpoint-power=0.7] [--restart-power=0.6]
+///                 [--trials=100] [--seed=1] [--law=...]
 ///   mlck sensitivity --system=... [--technique=dauwe] [--law=...]
 ///   mlck trace    --system=... [--seed=4] [--max-events=40] [--trials=1]
 ///                 [--format=table|chrome|jsonl] [--audit] [--out=trace.json]

@@ -1,32 +1,12 @@
 #include "math/distribution.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "math/exponential.h"
-#include "math/integrate.h"
 
 namespace mlck::math {
-
-double FailureDistribution::truncated_mean(double t) const {
-  if (t <= 0.0) return 0.0;
-  const double ft = cdf(t);
-  if (ft <= 0.0) return 0.5 * t;  // no mass in window: uniform limit
-  // Shared domain policy (math/integrate.h): cap the by-parts integral at
-  // 60 means — beyond the cap F == 1 to every tolerance here, so the
-  // remaining area contributes (t - cap) and cancels the same term of
-  // t * F(t), leaving cap * F(cap) - area — and split bulk from tail so
-  // the CDF transition always sits near an integration endpoint.
-  const IntegrationDomain dom = integration_domain(t, mean());
-  const auto f = [this](double x) { return cdf(x); };
-  const double tol = 1e-12 * std::min(t, mean());
-  double area = integrate(f, 0.0, dom.split, tol);
-  if (dom.cap > dom.split) area += integrate(f, dom.split, dom.cap, tol);
-  return (dom.cap * cdf(dom.cap) - area) / ft;
-}
 
 // ---------------------------------------------------------------- Exponential
 
@@ -38,14 +18,6 @@ Exponential::Exponential(double rate) : rate_(rate) {
 
 double Exponential::cdf(double t) const {
   return failure_probability(t, rate_);
-}
-
-double Exponential::survival(double t) const {
-  return math::survival(t, rate_);
-}
-
-double Exponential::truncated_mean(double t) const {
-  return math::truncated_mean(t, rate_);
 }
 
 double Exponential::sample(util::Rng& rng) const {
@@ -75,11 +47,6 @@ Weibull Weibull::with_mean(double mean, double shape) {
 double Weibull::cdf(double t) const {
   if (t <= 0.0) return 0.0;
   return -std::expm1(-std::pow(t / scale_, shape_));
-}
-
-double Weibull::survival(double t) const {
-  if (t <= 0.0) return 1.0;
-  return std::exp(-std::pow(t / scale_, shape_));
 }
 
 double Weibull::mean() const {
@@ -116,12 +83,6 @@ double LogNormal::cdf(double t) const {
   if (t <= 0.0) return 0.0;
   const double z = (std::log(t) - mu_) / sigma_;
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
-}
-
-double LogNormal::survival(double t) const {
-  if (t <= 0.0) return 1.0;
-  const double z = (std::log(t) - mu_) / sigma_;
-  return 0.5 * std::erfc(z / std::sqrt(2.0));
 }
 
 double LogNormal::mean() const {

@@ -23,23 +23,8 @@ class FailureDistribution {
   /// P(T <= t).
   virtual double cdf(double t) const = 0;
 
-  /// P(T > t). The default computes 1 - cdf(t), which loses all precision
-  /// once cdf(t) rounds to 1; laws with a closed-form tail override it so
-  /// survival stays meaningful deep into the tail (the retry factor
-  /// P/(1-P) needs it there).
-  virtual double survival(double t) const { return 1.0 - cdf(t); }
-
   /// E[T].
   virtual double mean() const = 0;
-
-  /// E[T | T <= t]: expected failure position within a window of length
-  /// t, given a failure occurred inside it. Default implementation
-  /// integrates t*F(t) by parts with adaptive quadrature:
-  ///   E[T | T <= t] = (t F(t) - integral_0^t F(x) dx) / F(t)
-  /// over the shared capped domain (math::integration_domain), so windows
-  /// many means long cannot hide the CDF transition between the first
-  /// Simpson samples. Overridden with the closed form where one exists.
-  virtual double truncated_mean(double t) const;
 
   /// Draws one inter-arrival sample.
   virtual double sample(util::Rng& rng) const = 0;
@@ -56,9 +41,7 @@ class Exponential final : public FailureDistribution {
   explicit Exponential(double rate);
 
   double cdf(double t) const override;
-  double survival(double t) const override;
   double mean() const override { return 1.0 / rate_; }
-  double truncated_mean(double t) const override;
   double sample(util::Rng& rng) const override;
   std::string describe() const override;
 
@@ -79,7 +62,6 @@ class Weibull final : public FailureDistribution {
   static Weibull with_mean(double mean, double shape);
 
   double cdf(double t) const override;
-  double survival(double t) const override;
   double mean() const override;
   double sample(util::Rng& rng) const override;
   std::string describe() const override;
@@ -103,7 +85,6 @@ class LogNormal final : public FailureDistribution {
   static LogNormal with_mean(double mean, double sigma);
 
   double cdf(double t) const override;
-  double survival(double t) const override;
   double mean() const override;
   double sample(util::Rng& rng) const override;
   std::string describe() const override;

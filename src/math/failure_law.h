@@ -4,7 +4,6 @@
 #include <string>
 
 #include "math/distribution.h"
-#include "math/tabulated_law.h"
 
 namespace mlck::math {
 
@@ -12,13 +11,18 @@ namespace mlck::math {
 /// effective failure process, behind one small interface: the paper
 /// derives its recursion (Sec. III-B) "for a chosen probability density
 /// function", and every non-exponential term of the model goes through
-/// these four calls (the exponential case keeps its closed forms; see
+/// these calls (the exponential case keeps its closed forms; see
 /// FailureLaw).
 ///
 ///   failure_probability(t)  P(t)       — paper Eqn. 1 generalized
 ///   truncated_mean(t)       E(t)       — paper Eqn. 2 generalized
 ///   expected_retries(t)     P/(1 - P)  — the geometric retry factor of
 ///                                        Eqns. 5/8/12
+///
+/// Conventions, shared with the exponential closed forms: t <= 0 yields 0;
+/// a window whose failure mass is below DBL_MIN counts as failure-free
+/// (retries 0, E(t) = t/2, the uniform limit), so no quotient of two
+/// subnormals is ever formed; once survival underflows, retries = +inf.
 ///
 /// Implementations are immutable after construction and safe to share
 /// across threads.
@@ -27,7 +31,6 @@ class LawPrimitive {
   virtual ~LawPrimitive() = default;
 
   virtual double failure_probability(double t) const noexcept = 0;
-  virtual double survival(double t) const noexcept = 0;
   virtual double truncated_mean(double t) const noexcept = 0;
   virtual double expected_retries(double t) const noexcept = 0;
   virtual std::string describe() const = 0;
@@ -41,10 +44,11 @@ class LawPrimitive {
 /// therefore share one declaration of the law.
 ///
 /// Weibull (fixed shape) and log-normal (fixed sigma) are closed under
-/// time scaling, so each family instance tabulates ONE unit-mean
-/// TabulatedLaw at construction and serves every rate through scaled
-/// views — primitive() is cheap and allocation-light however many rates a
-/// kernel build requests.
+/// time scaling, and both have closed forms for every primitive quantity
+/// (docs/MODELS.md, "Closed forms"): each family computes its shape
+/// constants once at construction, and primitive() is one small
+/// allocation with no per-rate build, however many rates a kernel build
+/// requests.
 ///
 /// The exponential law has no family object: it is a null FailureLaw
 /// pointer, served by the model's closed-form fast path

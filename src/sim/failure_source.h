@@ -80,7 +80,7 @@ class RandomFailureSource final : public FailureSource {
 /// Exponential distribution this coincides (in distribution) with
 /// RandomFailureSource; with Weibull shape < 1 it produces the bursty
 /// failure clustering reported for production HPC systems. The analytic
-/// model approximates this as one tabulated law per severity class
+/// model approximates this as one closed-form law per severity class
 /// (docs/MODELS.md) — close, but not the same process, since thinning a
 /// renewal process by severity does not yield independent renewal
 /// processes; `mlck selftest --laws=...` bounds the gap with per-law

@@ -40,6 +40,11 @@ VerifyLaw lognormal_verify_law(double sigma) {
   return law;
 }
 
+std::vector<VerifyLaw> all_verify_laws() {
+  return {exponential_verify_law(), weibull_verify_law(0.7),
+          lognormal_verify_law(1.0)};
+}
+
 systems::SystemConfig random_system(util::Rng& rng,
                                     const GeneratorOptions& options) {
   const int span = options.max_levels - options.min_levels + 1;

@@ -17,9 +17,8 @@ namespace mlck::verify {
 /// One failure law as the verification harness sees it: the quadrature
 /// oracle's selector, the model-side family (null for the exponential
 /// closed-form fast path), and a stable display name for reports. Build
-/// these through the factories below — each Weibull/log-normal family
-/// tabulates its unit-mean law once at construction, so a pool entry is
-/// cheap to copy into every generated case.
+/// these through the factories below; a family holds only its shape
+/// constants, so a pool entry is cheap to copy into every generated case.
 struct VerifyLaw {
   OracleLaw oracle;
   std::shared_ptr<const math::FailureLaw> family;  ///< null == exponential
@@ -37,6 +36,9 @@ struct VerifyLaw {
 VerifyLaw exponential_verify_law();
 VerifyLaw weibull_verify_law(double shape);
 VerifyLaw lognormal_verify_law(double sigma);
+/// The `mlck selftest --laws=all` pool: exponential, Weibull(0.7) and
+/// log-normal(1.0).
+std::vector<VerifyLaw> all_verify_laws();
 
 /// Distribution bounds for the randomized verification generators. The
 /// defaults span the paper's Table I regimes (MTBF 3 min .. 7000 min,

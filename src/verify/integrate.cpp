@@ -1,9 +1,9 @@
-#include "math/integrate.h"
+#include "verify/integrate.h"
 
 #include <algorithm>
 #include <cmath>
 
-namespace mlck::math {
+namespace mlck::verify {
 
 namespace {
 
@@ -54,4 +54,4 @@ IntegrationDomain integration_domain(double t, double mean) noexcept {
   return d;
 }
 
-}  // namespace mlck::math
+}  // namespace mlck::verify

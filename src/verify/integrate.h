@@ -2,21 +2,20 @@
 
 #include <functional>
 
-namespace mlck::math {
+namespace mlck::verify {
 
 /// Adaptive Simpson quadrature of @p f over [a, b] to absolute tolerance
 /// @p tol. Deterministic; recursion depth capped (the result of the last
 /// refinement is returned if the cap is hit).
 ///
-/// Used for truncated means of non-exponential failure laws, where no
-/// closed form exists. The integrands are smooth CDFs, so convergence is
-/// fast; tests compare against closed forms where those exist.
+/// The quadrature behind the verify oracle (oracle.h), which evaluates
+/// every failure-law quantity from its defining integral so that it
+/// shares no closed forms with src/math. The integrands are smooth
+/// densities, so convergence is fast.
 double integrate(const std::function<double(double)>& f, double a, double b,
                  double tol = 1e-10);
 
-/// The quadrature domain policy for failure-law integrands, shared by the
-/// verify oracle, the generic FailureDistribution::truncated_mean, and the
-/// TabulatedLaw builder (one definition so a policy fix lands everywhere).
+/// The quadrature domain policy for the oracle's failure-law integrands.
 ///
 /// Failure densities peak near the mean and adaptive Simpson terminates on
 /// an apparent-zero estimate when the whole mass hides between the first
@@ -37,4 +36,4 @@ struct IntegrationDomain {
 /// law with the given @p mean (<= 0 degenerates to {t, t}: no cap).
 IntegrationDomain integration_domain(double t, double mean) noexcept;
 
-}  // namespace mlck::math
+}  // namespace mlck::verify

@@ -75,24 +75,9 @@ void CheckResult::merge(CheckResult other) {
 }
 
 CheckResult check_oracle_agreement(const VerifyCase& c,
-                                   const TolerancePolicy& base_policy) {
+                                   const TolerancePolicy& policy) {
   CheckResult result;
   const core::DauweModel model(c.options, c.law.family);
-  // Non-exponential laws answer from the tabulated interpolant, whose
-  // documented accuracy (docs/MODELS.md) is ~1e-4 on cdf/truncated mean
-  // and ~1e-3 on the retry factor — far above quadrature noise. Widen the
-  // pre-condition band accordingly, and let the cap reach 100%: the
-  // recursion amplifies the tabulation error by the condition estimate,
-  // so past condition ~1e3 a *correct* implementation drifts by tens of
-  // percent and only order-of-magnitude divergence (a structural bug)
-  // remains meaningful. The exponential stream keeps its tight policy —
-  // there both sides run correlated closed forms.
-  TolerancePolicy policy = base_policy;
-  if (c.law.family != nullptr) {
-    policy.rel = std::max(policy.rel, 1e-3);
-    policy.abs = std::max(policy.abs, 1e-6);
-    policy.rel_cap = std::max(policy.rel_cap, 1.0);
-  }
   // The case's plan plus tau0 variants on both sides of it, so the oracle
   // also sees the neighboring feasibility regime.
   const double factors[] = {0.6, 1.0, 1.7};
@@ -106,10 +91,10 @@ CheckResult check_oracle_agreement(const VerifyCase& c,
     const double value = model.expected_time(c.system, plan);
     // Cap-regime saturation: deep in the infeasible regime the retry
     // factors are ~e^{hundreds} and the derivations saturate to inf at
-    // different spots (closed forms overflow, tabulated survival
-    // underflows, the oracle cuts its substitution windows). Beyond any
-    // physical scale "absurdly large" and "infinite" are the same
-    // verdict, so compare nothing there.
+    // different spots (closed forms overflow, survival underflows, the
+    // oracle cuts its substitution windows). Beyond any physical scale
+    // "absurdly large" and "infinite" are the same verdict, so compare
+    // nothing there.
     constexpr double kSaturated = 1e50;
     if (value > kSaturated && reference > kSaturated) continue;
     if (std::isfinite(value) && std::isfinite(reference)) {

@@ -29,8 +29,8 @@ struct CheckResult {
 /// Oracle agreement: DauweModel::expected_time (under the case's failure
 /// law) against the quadrature oracle within the (condition-widened)
 /// tolerance policy, on the case's plan and on a handful of tau0 variants
-/// around it. Non-exponential cases pre-widen the band to the tabulated
-/// law's documented accuracy (docs/MODELS.md).
+/// around it. Every law shares the one policy: the model's primitives are
+/// closed forms, exact to floating point (docs/MODELS.md).
 CheckResult check_oracle_agreement(const VerifyCase& c,
                                    const TolerancePolicy& policy = {});
 

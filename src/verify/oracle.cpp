@@ -5,7 +5,7 @@
 #include <limits>
 #include <vector>
 
-#include "math/integrate.h"
+#include "verify/integrate.h"
 
 namespace mlck::verify {
 
@@ -24,7 +24,7 @@ double probability_scale(double u) noexcept { return std::min(1.0, u); }
 //   int_0^t x f dx  = lambda * integral_0^{u_t} u^{1/shape} e^{-u} du
 // so the unit-mean domain policy (cap 60, split 8 — integration_domain
 // with mean 1) applies verbatim in u-space, and nothing here touches the
-// Weibull closed forms or tabulation in src/math.
+// Weibull closed forms in src/math.
 
 double weibull_scale_for(double rate, double shape) {
   return (1.0 / rate) / std::tgamma(1.0 + 1.0 / shape);
@@ -34,9 +34,9 @@ double weibull_p(double t, double rate, double shape) {
   if (t <= 0.0 || rate <= 0.0) return 0.0;
   const double u_t = std::pow(t / weibull_scale_for(rate, shape), shape);
   const auto density = [](double u) { return std::exp(-u); };
-  const double b = math::integration_domain(u_t, 1.0).cap;
+  const double b = integration_domain(u_t, 1.0).cap;
   const double tol = std::max(1e-300, 1e-13 * probability_scale(u_t));
-  return std::min(1.0, math::integrate(density, 0.0, b, tol));
+  return std::min(1.0, integrate(density, 0.0, b, tol));
 }
 
 double weibull_s(double t, double rate, double shape) {
@@ -45,7 +45,7 @@ double weibull_s(double t, double rate, double shape) {
   if (u_t >= 745.0) return 0.0;  // e^{-u_t} underflows double
   const auto density = [](double u) { return std::exp(-u); };
   const double tol = std::max(1e-300, 1e-13 * std::exp(-u_t));
-  return math::integrate(density, u_t, u_t + 60.0, tol);
+  return integrate(density, u_t, u_t + 60.0, tol);
 }
 
 double weibull_tmean(double t, double rate, double shape) {
@@ -59,15 +59,15 @@ double weibull_tmean(double t, double rate, double shape) {
   const auto weighted = [inv](double u) {
     return std::pow(u, inv) * std::exp(-u);
   };
-  const math::IntegrationDomain dom = math::integration_domain(u_t, 1.0);
+  const IntegrationDomain dom = integration_domain(u_t, 1.0);
   // Small windows: integral ~ u_t^{1 + 1/shape} / (1 + 1/shape); large
   // windows: Gamma(1 + 1/shape) (the full first moment in u-space).
   const double tol = std::max(
       1e-300, 0.5e-13 * std::min(std::pow(u_t, 1.0 + inv) / (1.0 + inv),
                                  std::tgamma(1.0 + inv)));
-  double mass = math::integrate(weighted, 0.0, dom.split, tol);
+  double mass = integrate(weighted, 0.0, dom.split, tol);
   if (dom.cap > dom.split) {
-    mass += math::integrate(weighted, dom.split, dom.cap, tol);
+    mass += integrate(weighted, dom.split, dom.cap, tol);
   }
   return lambda * mass / p;
 }
@@ -99,10 +99,10 @@ double integrate_marked(const F& f, double a, double b, double tol,
   double lo = a;
   for (const double m : marks) {  // marks must be ascending
     if (m <= lo || m >= b) continue;
-    total += math::integrate(f, lo, m, tol);
+    total += integrate(f, lo, m, tol);
     lo = m;
   }
-  total += math::integrate(f, lo, b, tol);
+  total += integrate(f, lo, b, tol);
   return total;
 }
 
@@ -180,12 +180,12 @@ double oracle_failure_probability(double t, double rate) {
   if (t <= 0.0 || rate <= 0.0) return 0.0;
   const auto density = [rate](double x) { return rate * std::exp(-rate * x); };
   const double tol = 1e-13 * probability_scale(rate * t);
-  // Beyond the shared cap (math::integration_domain, 60 means) the
+  // Beyond the shared cap (integration_domain, 60 means) the
   // remaining mass is ~e^{-60}, far below the tolerance; capping there
   // keeps the decay scale a visible fraction of the integration interval
   // however large t grows.
-  const double b = math::integration_domain(t, 1.0 / rate).cap;
-  return std::min(1.0, math::integrate(density, 0.0, b, tol));
+  const double b = integration_domain(t, 1.0 / rate).cap;
+  return std::min(1.0, integrate(density, 0.0, b, tol));
 }
 
 double oracle_survival(double t, double rate) {
@@ -197,7 +197,7 @@ double oracle_survival(double t, double rate) {
   // tolerance* (the value itself still comes from quadrature).
   const double scale = std::exp(-u);
   const double tol = std::max(1e-300, 1e-13 * scale);
-  return math::integrate(density, t, t + 60.0 / rate, tol);
+  return integrate(density, t, t + 60.0 / rate, tol);
 }
 
 double oracle_truncated_mean(double t, double rate) {
@@ -211,16 +211,16 @@ double oracle_truncated_mean(double t, double rate) {
   // The integrand peaks at x = 1/rate and f(0) = f(inf) = 0, so on a long
   // interval the whole mass can hide between the first Simpson samples
   // and the subdivision would terminate on an apparent-zero estimate.
-  // The shared domain policy (math::integration_domain) caps the domain
+  // The shared domain policy (integration_domain) caps the domain
   // at the effective support (mass beyond 60 means is ~e^{-60}) and
   // splits bulk from tail so the peak always sits within a factor of 8 of
   // an integration endpoint.
-  const math::IntegrationDomain dom = math::integration_domain(t, 1.0 / rate);
+  const IntegrationDomain dom = integration_domain(t, 1.0 / rate);
   const double tol =
       0.5e-13 * probability_scale(rate * t) * std::min(t, 1.0 / rate);
-  double mass = math::integrate(weighted, 0.0, dom.split, tol);
+  double mass = integrate(weighted, 0.0, dom.split, tol);
   if (dom.cap > dom.split) {
-    mass += math::integrate(weighted, dom.split, dom.cap, tol);
+    mass += integrate(weighted, dom.split, dom.cap, tol);
   }
   return mass / p;
 }

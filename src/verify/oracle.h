@@ -59,8 +59,9 @@ double oracle_expected_retries(double t, double rate);
 /// matching family member with mean 1 / rate (math::FailureLaw). The
 /// non-exponential oracles integrate *substituted* densities — Weibull
 /// through u = (x / lambda)^shape, log-normal through the standard-normal
-/// z — so they share no tabulation or closed forms with src/math beyond
-/// libm, which is what makes the agreement checks meaningful.
+/// z — so they share no closed forms with src/math (the incomplete gamma
+/// function, Phi through erfc) beyond libm, which is what makes the
+/// agreement checks meaningful.
 struct OracleLaw {
   enum class Kind { kExponential, kWeibull, kLogNormal };
   Kind kind = Kind::kExponential;

@@ -18,9 +18,11 @@
 #                   schedule the script writes into <workdir>) and
 #                   `mlck sensitivity` on D3 (Dauwe and Di plans): every
 #                   command that picks a plan by technique name, or takes a
-#                   schedule, and then simulates or sweeps it. Then the same
-#                   commands plus `mlck trace` under --law=weibull:shape=0.5,
-#                   and `mlck energy`, which rejects --law.
+#                   schedule, and then simulates or sweeps it, plus
+#                   `mlck energy` and `mlck predict --model=moody` on a plan
+#                   the script writes. Then the same commands plus
+#                   `mlck trace` under --law=weibull:shape=0.5, and
+#                   `mlck energy --law`.
 set -u
 mlck=$1
 work=$2
@@ -82,6 +84,10 @@ transcript_select() {
   run simulate --system=D3 --trials=50 --intervals=schedule.json
   run sensitivity --system=D3
   run sensitivity --system=D3 --technique=di
+  run energy --system=D3
+  echo '{"levels": [0, 1], "counts": [3], "tau0": 1.9221704227164327}' \
+    > plan.json
+  run predict --system=D3 --plan=plan.json --model=moody
   law=--law=weibull:shape=0.5
   run compare --system=D3 --trials=20 $law
   run simulate --system=D3 --trials=50 $law

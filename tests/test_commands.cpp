@@ -13,6 +13,7 @@
 #include "app/commands.h"
 #include "core/serialize.h"
 #include "engine/scenario.h"
+#include "models/benoit.h"
 #include "systems/test_systems.h"
 #include "util/table.h"
 
@@ -32,6 +33,19 @@ CommandResult run(std::vector<std::string> args) {
   r.out = out.str();
   r.err = err.str();
   return r;
+}
+
+/// The value cell of the first output line starting with @p label.
+std::string row_value(const std::string& out, const std::string& label) {
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(label, 0) != 0) continue;
+    const auto end = line.find_last_not_of(' ');
+    const auto begin = line.find_first_not_of(' ', label.size());
+    if (begin == std::string::npos || end < begin) return "";
+    return line.substr(begin, end - begin + 1);
+  }
+  return "<no row " + label + ">";
 }
 
 TEST(Commands, NoArgumentsPrintsUsage) {
@@ -101,6 +115,27 @@ TEST(Commands, PredictOnSavedPlan) {
   const auto di = run({"predict", "--system=D3", "--plan=" + path,
                        "--model=di"});
   EXPECT_EQ(di.code, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(Commands, PredictServesEveryBaselineModel) {
+  // predict --model= resolves names through the same registry as
+  // --technique=, so benoit is there too.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "mlck_cmd_predict_benoit.json")
+          .string();
+  ASSERT_EQ(run({"optimize", "--system=D3", "--out=" + path}).code, 0);
+  const auto r =
+      run({"predict", "--system=D3", "--plan=" + path, "--model=benoit"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const auto system = systems::table1_system("D3");
+  const auto plan =
+      core::plan_from_json(util::Json::parse(core::read_file(path)));
+  const auto expected = models::BenoitModel().predict(system, plan);
+  using util::Table;
+  EXPECT_EQ(row_value(r.out, "expected time (min)"),
+            Table::num(expected.expected_time, 2));
+  EXPECT_EQ(row_value(r.out, "efficiency"), Table::pct(expected.efficiency));
   std::filesystem::remove(path);
 }
 
@@ -541,20 +576,7 @@ TEST(Commands, EnergyComparesObjectives) {
   EXPECT_NE(r.out.find("sim energy/run"), std::string::npos);
 }
 
-/// The value cell of the first output line starting with @p label.
-std::string row_value(const std::string& out, const std::string& label) {
-  std::istringstream lines(out);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind(label, 0) != 0) continue;
-    const auto end = line.find_last_not_of(' ');
-    const auto begin = line.find_first_not_of(' ', label.size());
-    if (begin == std::string::npos || end < begin) return "";
-    return line.substr(begin, end - begin + 1);
-  }
-  return "<no row " + label + ">";
-}
-
-TEST(Commands, SimulateHonoursTheLawAndEnergyRejectsIt) {
+TEST(Commands, SimulateAndEnergyHonourTheLaw) {
   const std::string law = "weibull:shape=0.5";
   const auto r = run({"simulate", "--system=D3", "--trials=30", "--seed=5",
                       "--law=" + law});
@@ -586,9 +608,21 @@ TEST(Commands, SimulateHonoursTheLawAndEnergyRejectsIt) {
   ASSERT_EQ(exponential.code, 0) << exponential.err;
   EXPECT_NE(row_value(exponential.out, "plan"), plan.to_string());
 
-  const auto energy = run({"energy", "--system=D3", "--law=" + law});
-  EXPECT_EQ(energy.code, 2);
-  EXPECT_NE(energy.err.find("--law"), std::string::npos) << energy.err;
+  // energy selects each objective's plan under the law too, so its
+  // time-optimal plan moves off the exponential one.
+  const auto energy =
+      run({"energy", "--system=D3", "--trials=10", "--law=" + law});
+  ASSERT_EQ(energy.code, 0) << energy.err;
+  EXPECT_EQ(energy.err.find("unrecognized"), std::string::npos) << energy.err;
+  const auto energy_exponential =
+      run({"energy", "--system=D3", "--trials=10"});
+  ASSERT_EQ(energy_exponential.code, 0) << energy_exponential.err;
+  // The plan is the row's first cell: "tau0=... levels=[...] counts=[...]".
+  const auto plan_cell = [](const std::string& row) {
+    return row.substr(0, row.find(']', row.find("counts=")) + 1);
+  };
+  EXPECT_NE(plan_cell(row_value(energy.out, "time")),
+            plan_cell(row_value(energy_exponential.out, "time")));
 }
 
 TEST(Commands, EnergyRejectsNegativePower) {

@@ -8,38 +8,15 @@
 #include "math/distribution.h"
 #include "math/exponential.h"
 #include "math/failure_law.h"
-#include "math/integrate.h"
 #include "util/rng.h"
 
 namespace mlck::math {
 namespace {
 
-TEST(Integrate, ExactForPolynomials) {
-  // Simpson is exact through cubics; the adaptive wrapper must be too.
-  EXPECT_NEAR(integrate([](double x) { return x * x * x; }, 0.0, 2.0), 4.0,
-              1e-12);
-  EXPECT_NEAR(integrate([](double x) { return 3.0 * x * x; }, -1.0, 1.0),
-              2.0, 1e-12);
-}
-
-TEST(Integrate, KnownTranscendentals) {
-  EXPECT_NEAR(integrate([](double x) { return std::sin(x); }, 0.0,
-                        3.141592653589793),
-              2.0, 1e-9);
-  EXPECT_NEAR(integrate([](double x) { return std::exp(-x); }, 0.0, 50.0),
-              1.0, 1e-9);
-}
-
-TEST(Integrate, DegenerateInterval) {
-  EXPECT_EQ(integrate([](double x) { return x; }, 2.0, 2.0), 0.0);
-  EXPECT_EQ(integrate([](double x) { return x; }, 3.0, 2.0), 0.0);
-}
-
 TEST(ExponentialDist, MatchesClosedFormKernels) {
   const Exponential d(0.25);
   for (const double t : {0.1, 1.0, 4.0, 20.0}) {
     EXPECT_NEAR(d.cdf(t), failure_probability(t, 0.25), 1e-15);
-    EXPECT_NEAR(d.truncated_mean(t), truncated_mean(t, 0.25), 1e-15);
   }
   EXPECT_DOUBLE_EQ(d.mean(), 4.0);
   EXPECT_NE(d.describe().find("exponential"), std::string::npos);
@@ -61,13 +38,14 @@ TEST(ExponentialDist, RejectsBadRate) {
 
 TEST(WeibullDist, ShapeOneIsExponential) {
   // Weibull(k=1, scale) == Exponential(rate=1/scale). This also
-  // cross-validates the numeric default truncated_mean against the
-  // exponential closed form.
+  // cross-validates the Weibull primitive's incomplete-gamma truncated
+  // mean against the exponential closed form.
   const Weibull w(1.0, 5.0);
   const Exponential e(0.2);
+  const auto primitive = FailureLaw::weibull(1.0)->primitive(0.2);
   for (const double t : {0.5, 2.0, 10.0, 40.0}) {
     EXPECT_NEAR(w.cdf(t), e.cdf(t), 1e-12);
-    EXPECT_NEAR(w.truncated_mean(t), e.truncated_mean(t), 1e-7)
+    EXPECT_NEAR(primitive->truncated_mean(t), truncated_mean(t, 0.2), 1e-7)
         << "t=" << t;
   }
   EXPECT_NEAR(w.mean(), 5.0, 1e-12);
@@ -96,10 +74,10 @@ TEST(WeibullDist, SmallShapeHasHeavierTail) {
 }
 
 TEST(WeibullDist, TruncatedMeanBelowWindowAndMonotone) {
-  const Weibull w = Weibull::with_mean(10.0, 0.7);
+  const auto w = FailureLaw::weibull(0.7)->primitive(1.0 / 10.0);
   double previous = 0.0;
   for (const double t : {1.0, 3.0, 9.0, 27.0, 81.0}) {
-    const double e = w.truncated_mean(t);
+    const double e = w->truncated_mean(t);
     EXPECT_GT(e, previous);
     EXPECT_LT(e, t);
     previous = e;
@@ -158,7 +136,8 @@ TEST(GenericTruncatedMean, MatchesMonteCarloForWeibull) {
     }
   }
   ASSERT_GT(hits, 1000);
-  EXPECT_NEAR(w.truncated_mean(window), sum / hits, 0.02);
+  const auto primitive = FailureLaw::weibull(1.4)->primitive(1.0 / 8.0);
+  EXPECT_NEAR(primitive->truncated_mean(window), sum / hits, 0.02);
 }
 
 // ---------------------------------------------------------------------------

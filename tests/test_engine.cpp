@@ -481,7 +481,7 @@ TEST(RunScenario, NonExponentialDistributionChangesModelAndDraws) {
   spec.distribution.shape = 0.7;
   const auto weibull = run_scenario(spec);
   // Selection is law-aware: the Weibull model forecasts through the
-  // tabulated family, so both the forecast and the simulated draws move.
+  // closed-form family, so both the forecast and the simulated draws move.
   EXPECT_NE(exponential.selected.predicted_time,
             weibull.selected.predicted_time);
   EXPECT_NE(exponential.stats.efficiency.mean,

@@ -18,6 +18,7 @@
 #include "systems/test_systems.h"
 #include "util/rng.h"
 #include "verify/generators.h"
+#include "verify/integrate.h"
 #include "verify/invariants.h"
 #include "verify/oracle.h"
 #include "verify/selftest.h"
@@ -26,6 +27,41 @@ namespace mlck::verify {
 namespace {
 
 constexpr std::uint64_t kSeed = 0x5EEDC0DE;
+
+TEST(Integrate, ExactForPolynomials) {
+  // Simpson is exact through cubics; the adaptive wrapper must be too.
+  EXPECT_NEAR(integrate([](double x) { return x * x * x; }, 0.0, 2.0), 4.0,
+              1e-12);
+  EXPECT_NEAR(integrate([](double x) { return 3.0 * x * x; }, -1.0, 1.0),
+              2.0, 1e-12);
+}
+
+TEST(Integrate, KnownTranscendentals) {
+  EXPECT_NEAR(integrate([](double x) { return std::sin(x); }, 0.0,
+                        3.141592653589793),
+              2.0, 1e-9);
+  EXPECT_NEAR(integrate([](double x) { return std::exp(-x); }, 0.0, 50.0),
+              1.0, 1e-9);
+}
+
+TEST(Integrate, DegenerateInterval) {
+  EXPECT_EQ(integrate([](double x) { return x; }, 2.0, 2.0), 0.0);
+  EXPECT_EQ(integrate([](double x) { return x; }, 3.0, 2.0), 0.0);
+}
+
+TEST(IntegrationDomain, CapsAndSplitsAroundTheMean) {
+  const auto unbounded = integration_domain(5.0, 0.0);
+  EXPECT_EQ(unbounded.cap, 5.0);
+  EXPECT_EQ(unbounded.split, 5.0);
+
+  const auto short_window = integration_domain(3.0, 1.0);
+  EXPECT_EQ(short_window.cap, 3.0);  // t below the cap
+  EXPECT_EQ(short_window.split, 3.0);
+
+  const auto long_window = integration_domain(1e6, 1.0);
+  EXPECT_EQ(long_window.cap, kDomainCapMultiple);
+  EXPECT_EQ(long_window.split, kBulkSplitMultiple);
+}
 
 TEST(Generators, CasesAreDeterministicAndIndexAddressable) {
   const VerifyCase a = make_case(kSeed, 17);
@@ -186,21 +222,29 @@ TEST(Invariants, AllFamiliesPassOnAStreamOfGeneratedCases) {
   const std::uint64_t seed = testprop::suite_seed(kSeed ^ 0xca5e5);
   SCOPED_TRACE(testprop::repro(
       "Invariants.AllFamiliesPassOnAStreamOfGeneratedCases", seed));
-  for (std::size_t i = 0; i < 60; ++i) {
-    const VerifyCase c = make_case(seed, i);
-    SCOPED_TRACE(testing::Message() << "case " << i << " seed 0x" << std::hex
-                                    << c.seed);
-    const CheckResult oracle = check_oracle_agreement(c);
-    for (const auto& f : oracle.failures) {
-      ADD_FAILURE() << f.check << ": " << f.detail;
-    }
-    const CheckResult bits = check_bit_identity(c);
-    for (const auto& f : bits.failures) {
-      ADD_FAILURE() << f.check << ": " << f.detail;
-    }
-    const CheckResult meta = check_metamorphic(c);
-    for (const auto& f : meta.failures) {
-      ADD_FAILURE() << f.check << ": " << f.detail;
+  // The exponential stream, then the `--laws=all` pool, which checks the
+  // Weibull and log-normal primitives against the oracle in the same
+  // tight band.
+  GeneratorOptions all_laws;
+  all_laws.laws = all_verify_laws();
+  for (const GeneratorOptions& options : {GeneratorOptions{}, all_laws}) {
+    for (std::size_t i = 0; i < 60; ++i) {
+      const VerifyCase c = make_case(seed, i, options);
+      SCOPED_TRACE(testing::Message() << "case " << i << " seed 0x"
+                                      << std::hex << c.seed << " law "
+                                      << c.law.name);
+      const CheckResult oracle = check_oracle_agreement(c);
+      for (const auto& f : oracle.failures) {
+        ADD_FAILURE() << f.check << ": " << f.detail;
+      }
+      const CheckResult bits = check_bit_identity(c);
+      for (const auto& f : bits.failures) {
+        ADD_FAILURE() << f.check << ": " << f.detail;
+      }
+      const CheckResult meta = check_metamorphic(c);
+      for (const auto& f : meta.failures) {
+        ADD_FAILURE() << f.check << ": " << f.detail;
+      }
     }
   }
 }
