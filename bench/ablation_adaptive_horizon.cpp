@@ -12,11 +12,13 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/400);
-  const double mtbf = cli.get_double("mtbf", 15.0);
-  const double pfs = cli.get_double("pfs", 20.0);
-  mlck::bench::reject_unknown_flags(cli);
+  using mlck::util::Option;
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "400",
+      {{"mtbf", Option::kNumber, "15"}, {"pfs", Option::kNumber, "20"}});
+  mlck::bench::BenchConfig cfg(cli);
+  const double mtbf = cli.get_double("mtbf");
+  const double pfs = cli.get_double("pfs");
 
   using mlck::util::Table;
 

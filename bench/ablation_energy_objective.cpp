@@ -13,18 +13,22 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  const double ckpt_power = cli.get_double("checkpoint-power", 0.5);
-  const double restart_power = cli.get_double("restart-power", 0.5);
-  mlck::bench::reject_unknown_flags(cli);
+  using mlck::util::Option;
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "200",
+      {{"checkpoint-power", Option::kNumber, "0.5"},
+       {"restart-power", Option::kNumber, "0.5"}});
+  mlck::bench::BenchConfig cfg(cli);
+  const double ckpt_power = cli.get_double("checkpoint-power");
+  const double restart_power = cli.get_double("restart-power");
 
   using mlck::util::Table;
   mlck::energy::PowerModel power;
   power.checkpoint = ckpt_power;
   power.restart = restart_power;
   power.validate();
-  // Objectives select under the --dist law, as the simulation samples it.
+  // Objectives select under the --law failure law, as the simulation
+  // samples it.
   const mlck::core::DauweModel base({}, cfg.spec.distribution.family());
 
   std::cout << "Extension: objective comparison (compute power 1.0, "

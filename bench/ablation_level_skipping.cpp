@@ -10,10 +10,10 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/400);
-  const double base_time = cli.get_double("base-time", 30.0);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "400", {{"base-time", mlck::util::Option::kNumber, "30"}});
+  mlck::bench::BenchConfig cfg(cli);
+  const double base_time = cli.get_double("base-time");
 
   using mlck::util::Table;
 

@@ -11,9 +11,8 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(argc, argv, "200");
+  mlck::bench::BenchConfig cfg(cli);
 
   using mlck::util::Table;
 

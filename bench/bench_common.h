@@ -1,22 +1,45 @@
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "app/telemetry.h"
 #include "engine/scenario.h"
 #include "exp/experiments.h"
 #include "exp/plot.h"
+#include "exp/report.h"
 #include "obs/trace.h"
 #include "util/cli.h"
 #include "util/thread_pool.h"
 
 namespace mlck::bench {
+
+/// --csv appends the efficiency rows to the report as CSV, and
+/// --plot=prefix writes prefix.dat and prefix.gp for gnuplot. Only the
+/// drivers that honour them declare them (fig2/4/5 both, fig6 --plot).
+inline const util::Option kCsv{"csv", util::Option::kFlag};
+inline const util::Option kPlot{"plot", util::Option::kPath};
+
+/// Checks a driver's argv against the options every driver takes, with
+/// --trials defaulting to @p trials, plus the driver's own @p extra ones;
+/// a usage error exits 2 before any work.
+inline util::Cli parse_options(int argc, char** argv, const char* trials,
+                               std::vector<util::Option> extra = {}) {
+  using util::Option;
+  std::vector<Option> table = {{"spec", Option::kPath},
+                               {"trials", Option::kInt, trials, 1},
+                               {"seed", Option::kU64},
+                               {"threads", Option::kInt, "0", 0, 1024},
+                               app::law_option(),
+                               {"trace", Option::kPath}};
+  const auto telemetry = app::telemetry_options();
+  table.insert(table.end(), telemetry.begin(), telemetry.end());
+  table.insert(table.end(), extra.begin(), extra.end());
+  return util::Cli::parse_or_exit(argc, argv, std::move(table));
+}
 
 /// Options shared by every experiment driver, expressed as a declarative
 /// engine::ScenarioSpec template. Drivers set spec.system per sweep point
@@ -24,11 +47,10 @@ namespace mlck::bench {
 /// so the spec's failure law, model options and optimizer controls reach
 /// the model as well as the simulator. The model is the driver's own:
 /// figures run a lineup, ablations the Dauwe technique. Defaults
-/// reproduce the paper's settings; --trials/--seed/--threads/--dist
+/// reproduce the paper's settings; --trials/--seed/--threads/--law
 /// override them, and --spec=file.json loads a whole scenario document
-/// (--trials/--seed still win when given). --dist takes the `mlck --law`
-/// grammar, exponential | weibull:shape=K | lognormal:sigma=S with
-/// optional ,mean=M / ,scale=S; a malformed --dist or --seed exits 2.
+/// (--trials/--seed still win when given). --law takes the `mlck` law
+/// grammar (app::law_option).
 /// Telemetry is always on (docs/OBSERVABILITY.md): the
 /// app::TelemetryScope flags (--metrics/--openmetrics/--timeline) choose
 /// the outputs, and --trace=file.json records host-side spans into a
@@ -39,38 +61,22 @@ struct BenchConfig {
   app::TelemetryScope telemetry;
   engine::ScenarioSpec spec;
   std::unique_ptr<util::ThreadPool> pool;
-  bool csv = false;
-  std::string plot_prefix;  ///< --plot=prefix writes prefix.dat/.gp
   std::string trace_path;   ///< --trace=file writes the Chrome trace there
   std::unique_ptr<obs::TraceSink> trace_sink;
 
-  explicit BenchConfig(const util::Cli& cli, std::size_t default_trials)
-      : telemetry(cli) {
-    if (const auto path = cli.value("spec"); path && !path->empty()) {
+  /// @p cli comes from parse_options().
+  explicit BenchConfig(const util::Cli& cli)
+      : telemetry(cli), trace_path(cli.get_string("trace")) {
+    if (const auto path = cli.value("spec")) {
       spec = engine::ScenarioSpec::load(*path);
     } else {
-      spec.trials = default_trials;
+      spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
     }
     spec.model = "dauwe";
-    try {
-      app::apply_trials_and_seed(cli, spec);
-    } catch (const std::out_of_range& e) {
-      std::cerr << e.what() << "\n";
-      std::exit(2);
-    }
-    if (const auto dist = cli.value("dist"); dist && !dist->empty()) {
-      try {
-        spec.distribution = engine::DistributionSpec::parse(*dist);
-      } catch (const std::invalid_argument& e) {
-        std::cerr << "--dist: " << e.what() << "\n";
-        std::exit(2);
-      }
-    }
-    csv = cli.get_bool("csv", false);
-    plot_prefix = cli.get_string("plot", "");
-    trace_path = cli.get_string("trace", "");
+    app::apply_trials_and_seed(cli, spec);
+    if (const auto law = app::law_flag(cli)) spec.distribution = *law;
     pool = std::make_unique<util::ThreadPool>(
-        app::pool_width(cli.get_int("threads", 0)));
+        app::pool_width(cli.get_int("threads")));
     // Trials run outside the engine (explicit laws) count under the same
     // names.
     spec.sim.metrics = &telemetry.metrics().sim;
@@ -125,34 +131,30 @@ struct BenchConfig {
     return exp::compare_models(spec, label, models, pool.get(),
                                &telemetry.registry(), trace_sink.get());
   }
+};
 
-  /// Writes <prefix>.dat and <prefix>.gp so `gnuplot <prefix>.gp` renders
-  /// the efficiency figure; no-op when --plot was not given.
-  void emit_efficiency_plot(const std::vector<exp::ScenarioResult>& rows,
-                            const std::string& title) const {
-    if (plot_prefix.empty() || rows.empty()) return;
+/// The --plot and --csv outputs of an efficiency figure: <prefix>.dat and
+/// <prefix>.gp, so `gnuplot <prefix>.gp` renders it, then the CSV rows on
+/// stdout. @p cli must declare kCsv and kPlot.
+inline void emit_efficiency_outputs(
+    const util::Cli& cli, const std::vector<exp::ScenarioResult>& rows,
+    const std::string& title) {
+  if (const auto prefix = cli.value("plot"); prefix && !rows.empty()) {
     std::vector<std::string> names;
     for (const auto& o : rows.front().outcomes) {
       names.push_back(o.selected.technique);
     }
-    std::ofstream dat(plot_prefix + ".dat");
+    std::ofstream dat(*prefix + ".dat");
     exp::write_efficiency_dat(dat, rows);
-    std::ofstream gp(plot_prefix + ".gp");
-    exp::write_efficiency_gp(gp, plot_prefix + ".dat", title, names,
-                             plot_prefix + ".png");
-    std::cerr << "[mlck] wrote " << plot_prefix << ".dat and "
-              << plot_prefix << ".gp\n";
+    std::ofstream gp(*prefix + ".gp");
+    exp::write_efficiency_gp(gp, *prefix + ".dat", title, names,
+                             *prefix + ".png");
+    std::cerr << "[mlck] wrote " << *prefix << ".dat and " << *prefix
+              << ".gp\n";
   }
-};
-
-/// Fails loudly on mistyped sweep parameters instead of running defaults.
-inline void reject_unknown_flags(const util::Cli& cli) {
-  const auto unknown = cli.unrecognized();
-  if (!unknown.empty()) {
-    std::cerr << "unknown option(s):";
-    for (const auto& u : unknown) std::cerr << " --" << u;
-    std::cerr << "\n";
-    std::exit(2);
+  if (cli.has("csv")) {
+    std::cout << "\n";
+    exp::write_efficiency_csv(std::cout, rows);
   }
 }
 

@@ -31,7 +31,6 @@
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -171,28 +170,41 @@ void time_interleaved(int repeats, int inner, Lane& lane,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  const bool smoke = cli.get_bool("smoke", false);
-  const int repeats = cli.get_int("repeats", smoke ? 5 : 7);
-  const int inner = cli.get_int("inner", 3);
+  using mlck::util::Option;
+  const auto cli = mlck::util::Cli::parse_or_exit(
+      argc, argv,
+      {{"smoke", Option::kFlag},
+       {"repeats", Option::kInt, "7", 1},
+       {"inner", Option::kInt, "3", 1},
+       {"trials", Option::kInt, "1000000", 1},
+       {"iters", Option::kInt, "300", 1},
+       {"bound", Option::kNumber, "0.02"},
+       {"with-sampler", Option::kInt, "1", 0, 1},
+       {"with-pool-metrics", Option::kInt, "1", 0, 1},
+       {"out", Option::kPath, "BENCH_obs.json"},
+       {"threads", Option::kInt, "0", 0, 1024}});
+  // --smoke shrinks every lane size that is not given.
+  const bool smoke = cli.has("smoke");
+  const auto lane_size = [&](const char* name, int smoke_size) {
+    return smoke && !cli.has(name) ? smoke_size : cli.get_int(name);
+  };
+  const int repeats = lane_size("repeats", 5);
+  const int inner = cli.get_int("inner");
   // Lanes must be long enough that a 2% delta clears timer and scheduler
   // noise (sub-50ms measurements flaked at the +-3% level); trials sizes
   // the simulator batch, iters repeats the optimizer sweep per
   // measurement.
-  const int trials = cli.get_int("trials", smoke ? 300000 : 1000000);
-  const int iters = cli.get_int("iters", smoke ? 150 : 300);
-  const double bound = cli.get_double("bound", 0.02);
+  const int trials = lane_size("trials", 300000);
+  const int iters = lane_size("iters", 150);
+  const double bound = cli.get_double("bound");
   // Diagnostic switches for a failed gate: drop one attachment at a time
-  // to see which one carries the overhead.
-  const bool with_sampler = cli.get_bool("with-sampler", true);
-  const bool with_pool_metrics = cli.get_bool("with-pool-metrics", true);
-  const std::string out = cli.get_string("out", "BENCH_obs.json");
-  const int threads = cli.get_int("threads", 0);
-  mlck::bench::reject_unknown_flags(cli);
+  // (=0) to see which one carries the overhead.
+  const bool with_sampler = cli.get_int("with-sampler") == 1;
+  const bool with_pool_metrics = cli.get_int("with-pool-metrics") == 1;
+  const std::string out = cli.get_string("out");
+  const int threads = cli.get_int("threads");
 
-  mlck::util::ThreadPool pool(
-      threads > 0 ? static_cast<std::size_t>(threads)
-                  : std::max(2u, std::thread::hardware_concurrency()));
+  mlck::util::ThreadPool pool(mlck::app::pool_width(threads));
   const std::uint64_t seed = 20180521;
   const auto sys = mlck::systems::table1_system("M");
 

@@ -11,9 +11,9 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "200", {mlck::bench::kCsv, mlck::bench::kPlot});
+  mlck::bench::BenchConfig cfg(cli);
 
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sys : mlck::systems::table1_systems()) {
@@ -38,11 +38,6 @@ int main(int argc, char** argv) {
   }
   plans.print(std::cout);
 
-  cfg.emit_efficiency_plot(rows, "Figure 2");
-
-  if (cfg.csv) {
-    std::cout << "\n";
-    mlck::exp::write_efficiency_csv(std::cout, rows);
-  }
+  mlck::bench::emit_efficiency_outputs(cli, rows, "Figure 2");
   return 0;
 }

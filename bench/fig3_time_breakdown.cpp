@@ -9,9 +9,8 @@
 #include "systems/test_systems.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(argc, argv, "200");
+  mlck::bench::BenchConfig cfg(cli);
 
   std::vector<mlck::exp::ScenarioResult> rows;
   for (const auto& sys : mlck::systems::table1_systems()) {

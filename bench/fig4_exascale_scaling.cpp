@@ -10,10 +10,12 @@
 #include "systems/scaling.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  const double base_time = cli.get_double("base-time", 1440.0);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "200",
+      {{"base-time", mlck::util::Option::kNumber, "1440"},
+       mlck::bench::kCsv, mlck::bench::kPlot});
+  mlck::bench::BenchConfig cfg(cli);
+  const double base_time = cli.get_double("base-time");
 
   const auto grid = mlck::exp::scaled_b_grid(
       base_time, mlck::systems::figure4_pfs_cost_grid());
@@ -33,11 +35,6 @@ int main(int argc, char** argv) {
           std::to_string(cfg.spec.trials) + " trials per bar)",
       rows);
 
-  cfg.emit_efficiency_plot(rows, "Figure 4");
-
-  if (cfg.csv) {
-    std::cout << "\n";
-    mlck::exp::write_efficiency_csv(std::cout, rows);
-  }
+  mlck::bench::emit_efficiency_outputs(cli, rows, "Figure 4");
   return 0;
 }

@@ -12,10 +12,12 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/400);
-  const double base_time = cli.get_double("base-time", 30.0);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli = mlck::bench::parse_options(
+      argc, argv, "400",
+      {{"base-time", mlck::util::Option::kNumber, "30"}, mlck::bench::kCsv,
+       mlck::bench::kPlot});
+  mlck::bench::BenchConfig cfg(cli);
+  const double base_time = cli.get_double("base-time");
 
   const auto grid = mlck::exp::scaled_b_grid(
       base_time, mlck::systems::figure5_pfs_cost_grid());
@@ -56,11 +58,6 @@ int main(int argc, char** argv) {
   }
   detail.print(std::cout);
 
-  cfg.emit_efficiency_plot(rows, "Figure 5");
-
-  if (cfg.csv) {
-    std::cout << "\n";
-    mlck::exp::write_efficiency_csv(std::cout, rows);
-  }
+  mlck::bench::emit_efficiency_outputs(cli, rows, "Figure 5");
   return 0;
 }

@@ -11,9 +11,9 @@
 #include "util/table.h"
 
 int main(int argc, char** argv) {
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::BenchConfig cfg(cli, /*default_trials=*/200);
-  mlck::bench::reject_unknown_flags(cli);
+  const auto cli =
+      mlck::bench::parse_options(argc, argv, "200", {mlck::bench::kPlot});
+  mlck::bench::BenchConfig cfg(cli);
 
   const auto grid = mlck::exp::scaled_b_grid(
       1440.0, mlck::systems::figure4_pfs_cost_grid());
@@ -32,17 +32,16 @@ int main(int argc, char** argv) {
       "the 20 Figure 4 scenarios, sorted by |Moody error|",
       rows, "Moody et al.");
 
-  if (!cfg.plot_prefix.empty() && !rows.empty()) {
+  if (const auto prefix = cli.value("plot"); prefix && !rows.empty()) {
     std::vector<std::string> names;
     for (const auto& o : rows.front().outcomes) {
       names.push_back(o.selected.technique);
     }
-    std::ofstream dat(cfg.plot_prefix + ".dat");
+    std::ofstream dat(*prefix + ".dat");
     mlck::exp::write_prediction_error_dat(dat, rows, "Moody et al.");
-    std::ofstream gp(cfg.plot_prefix + ".gp");
-    mlck::exp::write_prediction_error_gp(gp, cfg.plot_prefix + ".dat",
-                                         "Figure 6", names,
-                                         cfg.plot_prefix + ".png");
+    std::ofstream gp(*prefix + ".gp");
+    mlck::exp::write_prediction_error_gp(gp, *prefix + ".dat", "Figure 6",
+                                         names, *prefix + ".png");
   }
 
   // Summary statistics in the shape of the paper's Sec. IV-G discussion.

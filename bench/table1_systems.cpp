@@ -10,8 +10,7 @@
 
 int main(int argc, char** argv) {
   using mlck::util::Table;
-  const mlck::util::Cli cli(argc, argv);
-  mlck::bench::reject_unknown_flags(cli);
+  mlck::util::Cli::parse_or_exit(argc, argv, {});
 
   Table table({"test system", "num. C/R levels", "MTBF (min)",
                "failure distribution", "C/R time (min per level)",

@@ -13,9 +13,10 @@
 
 int main(int argc, char** argv) {
   using mlck::util::Table;
-  const mlck::util::Cli cli(argc, argv);
+  const auto cli = mlck::util::Cli::parse_or_exit(
+      argc, argv, {{"trials", mlck::util::Option::kInt, "100", 1}});
   mlck::engine::ScenarioSpec spec;
-  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
   spec.seed = 23;
 
   // FTI-style hierarchy: the Reed-Solomon level (3rd) is costlier than the

@@ -18,11 +18,14 @@
 
 int main(int argc, char** argv) {
   using mlck::util::Table;
-  const mlck::util::Cli cli(argc, argv);
-  const double pfs = cli.get_double("pfs", 20.0);
+  const auto cli = mlck::util::Cli::parse_or_exit(
+      argc, argv,
+      {{"pfs", mlck::util::Option::kNumber, "20"},
+       {"trials", mlck::util::Option::kInt, "100", 1}});
+  const double pfs = cli.get_double("pfs");
 
   mlck::engine::ScenarioSpec scenario;
-  scenario.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
+  scenario.trials = static_cast<std::size_t>(cli.get_int("trials"));
   scenario.seed = 11;
 
   std::cout << "Multilevel checkpointing viability, 1440-minute "

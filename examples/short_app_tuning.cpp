@@ -19,10 +19,15 @@
 
 int main(int argc, char** argv) {
   using mlck::util::Table;
-  const mlck::util::Cli cli(argc, argv);
-  const double mtbf = cli.get_double("mtbf", 9.0);
-  const double pfs = cli.get_double("pfs", 20.0);
-  const double base_time = cli.get_double("base-time", 30.0);
+  using mlck::util::Option;
+  const auto cli = mlck::util::Cli::parse_or_exit(
+      argc, argv,
+      {{"mtbf", Option::kNumber, "9"},
+       {"pfs", Option::kNumber, "20"},
+       {"base-time", Option::kNumber, "30"}});
+  const double mtbf = cli.get_double("mtbf");
+  const double pfs = cli.get_double("pfs");
+  const double base_time = cli.get_double("base-time");
 
   mlck::engine::ScenarioSpec scenario;
   scenario.system = mlck::systems::scaled_system_b(mtbf, pfs, base_time);

@@ -35,56 +35,28 @@ namespace mlck::app {
 namespace {
 
 using util::Cli;
+using util::Option;
 using util::Table;
 
 sim::SimOptions parse_sim_options(const Cli& cli) {
   sim::SimOptions opts;
-  const std::string policy = cli.get_string("policy", "retry");
+  const std::string policy = cli.get_string("policy");
   if (policy == "escalate") {
     opts.restart_policy = sim::RestartPolicy::kMoodyEscalate;
   } else if (policy != "retry") {
     throw std::out_of_range("unknown --policy (use retry|escalate)");
   }
-  opts.take_final_checkpoint = cli.get_bool("final-checkpoint", false);
+  opts.take_final_checkpoint = cli.has("final-checkpoint");
   return opts;
 }
 
 systems::SystemConfig system_from(const Cli& cli) {
   const auto name = cli.value("system");
-  if (!name || name->empty()) {
-    throw std::out_of_range("--system=<name|file.json> is required");
-  }
+  if (!name) throw std::out_of_range("--system=<name|file.json> is required");
   return core::load_system(*name);
 }
 
-/// Parses --law=<law>[:key=value,...] (the scenario "failure" grammar,
-/// e.g. --law=weibull:shape=0.7,scale=120). Empty optional when the flag
-/// is absent — commands keep their law-less output byte-identical then.
-/// Only the Dauwe model understands non-exponential laws; @p consumer
-/// names the flag's owner for the error message otherwise.
-std::optional<engine::DistributionSpec> law_from(const Cli& cli,
-                                                const std::string& model,
-                                                const char* consumer) {
-  const auto text = cli.value("law");
-  if (!text || text->empty()) return std::nullopt;
-  if (model != "dauwe") {
-    throw std::out_of_range(std::string("--law is supported for the dauwe ") +
-                            consumer + " only");
-  }
-  return engine::DistributionSpec::parse(*text);
-}
-
-/// Applies --law=<law> (same grammar) to @p spec for the commands that
-/// select and simulate (simulate, compare, sensitivity, trace, energy):
-/// the law reaches the Dauwe search and the simulator, and baselines
-/// select as in the figure drivers (their own exponential closed forms).
-void apply_law(const Cli& cli, engine::ScenarioSpec& spec) {
-  if (const auto text = cli.value("law"); text && !text->empty()) {
-    spec.distribution = engine::DistributionSpec::parse(*text);
-  }
-}
-
-int cmd_systems(std::ostream& out) {
+int cmd_systems(const Cli&, std::ostream& out, std::ostream&) {
   Table table({"name", "levels", "MTBF (min)", "base time (min)"});
   for (const auto& sys : systems::table1_systems()) {
     table.add_row({sys.name, std::to_string(sys.levels()),
@@ -94,7 +66,7 @@ int cmd_systems(std::ostream& out) {
   return 0;
 }
 
-int cmd_show(const Cli& cli, std::ostream& out) {
+int cmd_show(const Cli& cli, std::ostream& out, std::ostream&) {
   out << core::to_json(system_from(cli)).dump(2) << "\n";
   return 0;
 }
@@ -102,9 +74,7 @@ int cmd_show(const Cli& cli, std::ostream& out) {
 /// The --plan=<file> document (required).
 util::Json plan_document(const Cli& cli) {
   const auto plan_path = cli.value("plan");
-  if (!plan_path || plan_path->empty()) {
-    throw std::out_of_range("--plan=plan.json is required");
-  }
+  if (!plan_path) throw std::out_of_range("--plan=plan.json is required");
   return util::Json::parse(core::read_file(*plan_path));
 }
 
@@ -116,7 +86,7 @@ util::Json dauwe_request(const Cli& cli, const std::string& op) {
   util::Json::Object request;
   request["op"] = util::Json(op);
   request["system"] = core::to_json(system_from(cli));
-  if (const auto law = law_from(cli, "dauwe", "request")) {
+  if (const auto law = law_flag(cli)) {
     request["failure"] = law->to_json();
   }
   if (op == "predict") request["plan"] = plan_document(cli);
@@ -128,7 +98,7 @@ util::Json dauwe_request(const Cli& cli, const std::string& op) {
 int run_connected(const Cli& cli, const std::string& op,
                   const std::string& socket, std::ostream& out) {
   const char* chooser = op == "optimize" ? "technique" : "model";
-  if (cli.get_string(chooser, "dauwe") != "dauwe") {
+  if (cli.get_string(chooser) != "dauwe") {
     throw std::out_of_range("--connect serves the dauwe " +
                             std::string(chooser) +
                             " only (the daemon's evaluation-engine "
@@ -152,19 +122,30 @@ int run_connected(const Cli& cli, const std::string& op,
   table.add_row({"efficiency",
                  Table::pct(result.at("efficiency").as_number())});
   table.print(out);
-  if (const auto path = cli.value("out"); path && !path->empty()) {
+  const auto path = op == "optimize" ? cli.value("out") : std::nullopt;
+  if (path) {
     core::write_file(*path, core::to_json(plan).dump(2) + "\n");
     out << "plan written to " << *path << "\n";
   }
   return 0;
 }
 
-int cmd_optimize(const Cli& cli, std::ostream& out) {
-  if (const auto socket = cli.value("connect"); socket && !socket->empty()) {
+/// The --law flag, which only the Dauwe model understands.
+std::optional<engine::DistributionSpec> dauwe_law(const Cli& cli,
+                                                  const std::string& model) {
+  const auto law = law_flag(cli);
+  if (law && model != "dauwe") {
+    throw std::out_of_range("--law is supported for the dauwe model only");
+  }
+  return law;
+}
+
+int cmd_optimize(const Cli& cli, std::ostream& out, std::ostream&) {
+  if (const auto socket = cli.value("connect")) {
     return run_connected(cli, "optimize", *socket, out);
   }
-  const std::string technique_name = cli.get_string("technique", "dauwe");
-  const auto law = law_from(cli, technique_name, "technique");
+  const std::string technique_name = cli.get_string("technique");
+  const auto law = dauwe_law(cli, technique_name);
   TelemetryScope telemetry(cli);
   util::ThreadPool pool(pool_width(0));
   pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
@@ -192,7 +173,7 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
   table.add_row({"predicted efficiency",
                  Table::pct(result.predicted_efficiency)});
   table.print(out);
-  if (const auto path = cli.value("out"); path && !path->empty()) {
+  if (const auto path = cli.value("out")) {
     core::write_file(*path, core::to_json(result.plan).dump(2) + "\n");
     out << "plan written to " << *path << "\n";
   }
@@ -200,12 +181,12 @@ int cmd_optimize(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
-int cmd_predict(const Cli& cli, std::ostream& out) {
-  if (const auto socket = cli.value("connect"); socket && !socket->empty()) {
+int cmd_predict(const Cli& cli, std::ostream& out, std::ostream&) {
+  if (const auto socket = cli.value("connect")) {
     return run_connected(cli, "predict", *socket, out);
   }
-  const std::string model_name = cli.get_string("model", "dauwe");
-  const auto law = law_from(cli, model_name, "model");
+  const std::string model_name = cli.get_string("model");
+  const auto law = dauwe_law(cli, model_name);
   TelemetryScope telemetry(cli);
   core::CheckpointPlan plan;
   core::Prediction prediction;
@@ -234,20 +215,19 @@ int cmd_predict(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
-int cmd_simulate(const Cli& cli, std::ostream& out) {
+int cmd_simulate(const Cli& cli, std::ostream& out, std::ostream&) {
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
-  spec.model = cli.get_string("technique", "dauwe");
-  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 200));
-  spec.seed = cli.get_u64("seed", 1);
+  spec.model = cli.get_string("technique");
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
+  spec.seed = cli.get_u64("seed");
   spec.sim = parse_sim_options(cli);
-  apply_law(cli, spec);
+  if (const auto law = law_flag(cli)) spec.distribution = *law;
   const auto& system = spec.system;
   util::ThreadPool pool(pool_width(0));
 
   // Interval-based schedules bypass the pattern plumbing entirely.
-  if (const auto schedule_path = cli.value("intervals");
-      schedule_path && !schedule_path->empty()) {
+  if (const auto schedule_path = cli.value("intervals")) {
     const auto schedule = core::interval_schedule_from_json(
         util::Json::parse(core::read_file(*schedule_path)));
     const auto interval_stats = engine::simulate_plan(
@@ -263,8 +243,7 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
   }
 
   core::CheckpointPlan plan;
-  if (const auto plan_path = cli.value("plan");
-      plan_path && !plan_path->empty()) {
+  if (const auto plan_path = cli.value("plan")) {
     plan = core::plan_from_json(
         util::Json::parse(core::read_file(*plan_path)));
   } else {
@@ -274,7 +253,7 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
   // Horizon-aware wrapper (Sec. IV-F generalized) or the plan itself.
   const sim::TrialStats stats = engine::simulate_plan(
       spec,
-      cli.get_bool("adaptive", false)
+      cli.has("adaptive")
           ? sim::CompiledSchedule::from_adaptive(
                 system, core::make_adaptive(system, plan))
           : sim::CompiledSchedule::from_plan(system, plan),
@@ -308,12 +287,12 @@ int cmd_simulate(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
-int cmd_compare(const Cli& cli, std::ostream& out) {
+int cmd_compare(const Cli& cli, std::ostream& out, std::ostream&) {
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
-  spec.trials = static_cast<std::size_t>(cli.get_int("trials", 100));
-  spec.seed = cli.get_u64("seed", 1);
-  apply_law(cli, spec);
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
+  spec.seed = cli.get_u64("seed");
+  if (const auto law = law_flag(cli)) spec.distribution = *law;
   Table table({"technique", "plan", "sim eff", "sd", "predicted",
                "pred err"});
   const auto result =
@@ -329,7 +308,7 @@ int cmd_compare(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
-int cmd_sensitivity(const Cli& cli, std::ostream& out) {
+int cmd_sensitivity(const Cli& cli, std::ostream& out, std::ostream&) {
   // How sharply does expected efficiency fall off around the selected
   // computation interval? (Daly's classic observation: the optimum is
   // flat, so interval estimates can be rough. The sweep quantifies how
@@ -337,8 +316,8 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out) {
   // context through the engine's batch API.
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
-  spec.model = cli.get_string("technique", "dauwe");
-  apply_law(cli, spec);
+  spec.model = cli.get_string("technique");
+  if (const auto law = law_flag(cli)) spec.distribution = *law;
   const auto& system = spec.system;
   const auto selected = engine::select_plan(spec);
   const engine::EvaluationEngine eng = spec.make_engine();
@@ -371,10 +350,10 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out) {
 
 int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   // Emit mode: write a complete spec document for a system to start from.
-  if (const auto emit = cli.value("emit-spec"); emit.has_value()) {
+  if (const auto emit = cli.value("emit-spec")) {
     engine::ScenarioSpec spec;
     const auto name = cli.value("system");
-    if (!name || name->empty()) {
+    if (!name) {
       throw std::out_of_range(
           "--system=<name|file.json> is required with --emit-spec");
     }
@@ -392,7 +371,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   }
 
   const auto spec_path = cli.value("spec");
-  if (!spec_path || spec_path->empty()) {
+  if (!spec_path) {
     throw std::out_of_range(
         "--spec=scenario.json is required (or --emit-spec)");
   }
@@ -401,22 +380,17 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   // (the flag is the more specific, per-invocation intent). The override
   // is announced on stderr so a spec whose failure law silently stops
   // mattering is never a surprise.
-  if (const auto law_text = cli.value("law"); law_text && !law_text->empty()) {
-    const auto flag_law = engine::DistributionSpec::parse(*law_text);
-    err << "[mlck] --law=" << flag_law.to_string()
+  if (const auto flag_law = law_flag(cli)) {
+    err << "[mlck] --law=" << flag_law->to_string()
         << " takes precedence over the scenario spec's failure "
            "section (spec: "
         << spec.distribution.to_string() << ")\n";
-    spec.distribution = flag_law;
+    spec.distribution = *flag_law;
   }
   apply_trials_and_seed(cli, spec);
   const auto trace_path = cli.value("trace");
-  if (trace_path && trace_path->empty()) {
-    throw std::out_of_range("--trace requires a file path "
-                            "(--trace=trace.json)");
-  }
   TelemetryScope telemetry(cli);
-  util::ThreadPool pool(pool_width(cli.get_int("threads", 0)));
+  util::ThreadPool pool(pool_width(cli.get_int("threads")));
   pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
   std::unique_ptr<obs::TraceSink> sink;
   sim::TrialTraceCapture capture;
@@ -425,7 +399,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
     sink->name_current_thread("main");
     pool.attach_trace(sink.get());
     capture.max_trials =
-        static_cast<std::size_t>(cli.get_int("trace-trials", 8));
+        static_cast<std::size_t>(cli.get_int("trace-trials"));
     spec.sim.capture = &capture;
   }
 
@@ -449,7 +423,7 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   table.add_row({"prediction error",
                  Table::pct(outcome.prediction_error(), 2)});
   table.print(out);
-  if (const auto path = cli.value("out"); path && !path->empty()) {
+  if (const auto path = cli.value("out")) {
     core::write_file(*path,
                      core::to_json(outcome.selected.plan).dump(2) + "\n");
     out << "plan written to " << *path << "\n";
@@ -466,17 +440,17 @@ int cmd_scenario(const Cli& cli, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_energy(const Cli& cli, std::ostream& out) {
+int cmd_energy(const Cli& cli, std::ostream& out, std::ostream&) {
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
-  apply_law(cli, spec);
+  if (const auto law = law_flag(cli)) spec.distribution = *law;
   const auto& system = spec.system;
   energy::PowerModel power;
-  power.checkpoint = cli.get_double("checkpoint-power", 0.7);
-  power.restart = cli.get_double("restart-power", 0.6);
+  power.checkpoint = cli.get_double("checkpoint-power");
+  power.restart = cli.get_double("restart-power");
   power.validate();
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 100));
-  const auto seed = cli.get_u64("seed", 1);
+  const auto trials = static_cast<std::size_t>(cli.get_int("trials"));
+  const auto seed = cli.get_u64("seed");
   const core::DauweModel base({}, spec.distribution.family());
   const auto law = engine::sampling_law(spec);
 
@@ -506,14 +480,12 @@ int cmd_energy(const Cli& cli, std::ostream& out) {
   return 0;
 }
 
-int cmd_trace(const Cli& cli, std::ostream& out) {
+int cmd_trace(const Cli& cli, std::ostream& out, std::ostream&) {
   const auto system = system_from(cli);
-  const auto seed = cli.get_u64("seed", 4);
-  const auto max_events =
-      static_cast<std::size_t>(cli.get_int("max-events", 40));
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 1));
-  if (trials == 0) throw std::out_of_range("--trials must be >= 1");
-  const std::string format = cli.get_string("format", "table");
+  const auto seed = cli.get_u64("seed");
+  const auto max_events = static_cast<std::size_t>(cli.get_int("max-events"));
+  const auto trials = static_cast<std::size_t>(cli.get_int("trials"));
+  const std::string format = cli.get_string("format");
   if (format != "table" && format != "chrome" && format != "jsonl") {
     throw std::out_of_range("unknown --format (use table|chrome|jsonl)");
   }
@@ -522,7 +494,7 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   spec.trials = trials;
   spec.seed = seed;
   spec.sim = parse_sim_options(cli);
-  apply_law(cli, spec);
+  if (const auto law = law_flag(cli)) spec.distribution = *law;
   const auto selected = engine::select_plan(spec);
   const auto schedule = sim::CompiledSchedule::from_plan(system, selected.plan);
 
@@ -561,7 +533,7 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   }
 
   int code = 0;
-  if (cli.get_bool("audit", false)) {
+  if (cli.has("audit")) {
     for (const auto& trial : capture.trials) {
       const auto report =
           obs::audit_trial_trace(system, trial.result, trial.events);
@@ -585,7 +557,7 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
         format == "chrome"
             ? obs::chrome_trace_json(nullptr, &capture).dump(2) + "\n"
             : obs::trace_jsonl(nullptr, &capture);
-    if (const auto path = cli.value("out"); path && !path->empty()) {
+    if (const auto path = cli.value("out")) {
       core::write_file(*path, text);
       out << "trace written to " << *path << "\n";
     } else {
@@ -628,22 +600,20 @@ int cmd_trace(const Cli& cli, std::ostream& out) {
   return code;
 }
 
-int cmd_report(const Cli& cli, std::ostream& out) {
+int cmd_report(const Cli& cli, std::ostream& out, std::ostream&) {
   // Runs a scenario with a trace sink attached, then joins span durations
   // with the per-phase counters into the cost-attribution table. The run
   // itself is bit-identical to `mlck scenario` on the same spec
   // (instrumentation is observe-only).
   const auto spec_path = cli.value("spec");
-  if (!spec_path || spec_path->empty()) {
-    throw std::out_of_range("--spec=scenario.json is required");
-  }
+  if (!spec_path) throw std::out_of_range("--spec=scenario.json is required");
   engine::ScenarioSpec spec = engine::ScenarioSpec::load(*spec_path);
   apply_trials_and_seed(cli, spec);
 
   TelemetryScope telemetry(cli);
   obs::TraceSink sink;
   sink.name_current_thread("main");
-  util::ThreadPool pool(pool_width(cli.get_int("threads", 0)));
+  util::ThreadPool pool(pool_width(cli.get_int("threads")));
   pool.attach_metrics(engine::pool_metrics(telemetry.registry()));
   pool.attach_trace(&sink);
   const auto outcome =
@@ -657,7 +627,7 @@ int cmd_report(const Cli& cli, std::ostream& out) {
       << ", sim efficiency " << Table::pct(outcome.stats.efficiency.mean)
       << "\n";
 
-  if (const auto path = cli.value("json"); path && !path->empty()) {
+  if (const auto path = cli.value("json")) {
     util::Json doc = obs::attribution_json(phases);
     doc.make_object()["meta"] =
         obs::sidecar_meta(cli.raw_args(), snapshot.metric_count());
@@ -709,29 +679,34 @@ std::vector<verify::VerifyLaw> parse_law_pool(const std::string& text) {
   return pool;
 }
 
-int cmd_selftest(const Cli& cli, std::ostream& out) {
+int cmd_selftest(const Cli& cli, std::ostream& out, std::ostream&) {
   verify::SelftestOptions options;
-  options.cases = static_cast<std::size_t>(cli.get_int("cases", 200));
-  options.seed = cli.get_u64("seed", 42);
-  options.only_case = cli.get_int("case", -1);
-  options.trials = static_cast<std::size_t>(cli.get_int("trials", 600));
+  options.cases = static_cast<std::size_t>(cli.get_int("cases"));
+  options.seed = cli.get_u64("seed");
+  if (cli.has("case")) {
+    options.only_case = cli.get_int("case");
+    if (options.only_case >= static_cast<long long>(options.cases)) {
+      throw std::out_of_range("--case must be below --cases");
+    }
+  }
+  options.trials = static_cast<std::size_t>(cli.get_int("trials"));
   options.welch_systems =
-      static_cast<std::size_t>(cli.get_int("welch-systems", 8));
-  options.alpha = cli.get_double("alpha", 0.01);
-  options.welch_gating = cli.get_bool("welch-gate", false);
-  if (const auto laws = cli.value("laws"); laws && !laws->empty()) {
+      static_cast<std::size_t>(cli.get_int("welch-systems"));
+  options.alpha = cli.get_double("alpha");
+  options.welch_gating = cli.has("welch-gate");
+  if (const auto laws = cli.value("laws")) {
     options.laws_flag = *laws;
     options.generator.laws = parse_law_pool(*laws);
   }
 
   std::unique_ptr<util::ThreadPool> pool;
-  if (const int threads = cli.get_int("threads", 0); threads > 0) {
+  if (const int threads = cli.get_int("threads"); threads > 0) {
     pool = std::make_unique<util::ThreadPool>(
         static_cast<std::size_t>(threads));
   }
   const verify::SelftestReport report =
       verify::run_selftest(options, pool.get(), &out);
-  if (const auto path = cli.value("out"); path && !path->empty()) {
+  if (const auto path = cli.value("out")) {
     core::write_file(*path, report.to_json().dump(2) + "\n");
     out << "report written to " << *path << "\n";
   }
@@ -748,19 +723,15 @@ void serve_signal_handler(int) {
   if (g_serve_signal_pipe != nullptr) g_serve_signal_pipe->poke();
 }
 
-int cmd_serve(const Cli& cli, std::ostream& out) {
+int cmd_serve(const Cli& cli, std::ostream& out, std::ostream&) {
   const auto socket = cli.value("socket");
-  if (!socket || socket->empty()) {
-    throw std::out_of_range("--socket=<path> is required");
-  }
+  if (!socket) throw std::out_of_range("--socket=<path> is required");
   serve::ServerOptions options;
   options.socket_path = *socket;
-  options.threads =
-      static_cast<std::size_t>(std::max(0, cli.get_int("threads", 0)));
-  options.queue_limit =
-      static_cast<std::size_t>(std::max(1, cli.get_int("queue-limit", 64)));
-  options.cache_capacity = static_cast<std::size_t>(
-      std::max(0, cli.get_int("cache-capacity", 128)));
+  options.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  options.queue_limit = static_cast<std::size_t>(cli.get_int("queue-limit"));
+  options.cache_capacity =
+      static_cast<std::size_t>(cli.get_int("cache-capacity"));
 
   TelemetryScope telemetry(cli);
   options.registry = &telemetry.registry();
@@ -801,14 +772,100 @@ int cmd_serve(const Cli& cli, std::ostream& out) {
   return code;
 }
 
+/// The options a command declares, plus the shared telemetry set.
+std::vector<Option> with_telemetry(std::vector<Option> options) {
+  for (Option& o : telemetry_options()) options.push_back(std::move(o));
+  return options;
+}
+
+struct Command {
+  const char* name;
+  int (*run)(const Cli&, std::ostream& out, std::ostream& err);
+  std::vector<Option> options;
+};
+
+/// Every command with its declared options: the one place a flag, its
+/// value kind and its default are written down.
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = [] {
+    const Option system{.name = "system", .kind = Option::kText,
+                        .meta = "name|file.json"};
+    const Option threads{"threads", Option::kInt, "0", 0, 1024};
+    const Option out{"out", Option::kPath};
+    const Option connect{"connect", Option::kPath};
+    const Option law = law_option();
+    const Option final_checkpoint{"final-checkpoint", Option::kFlag};
+    const auto trials = [](const char* fallback) {
+      return Option{"trials", Option::kInt, fallback, 1};
+    };
+    const auto seed = [](const char* fallback) {
+      return Option{"seed", Option::kU64, fallback};
+    };
+    const auto text = [](const char* name, const char* fallback) {
+      return Option{name, Option::kText, fallback};
+    };
+    return std::vector<Command>{
+        {"systems", cmd_systems, {}},
+        {"show", cmd_show, {system}},
+        {"optimize", cmd_optimize,
+         with_telemetry(
+             {system, text("technique", "dauwe"), out, connect, law})},
+        {"predict", cmd_predict,
+         with_telemetry({system, {"plan", Option::kPath},
+                         text("model", "dauwe"), connect, law})},
+        {"simulate", cmd_simulate,
+         {system, text("technique", "dauwe"), {"plan", Option::kPath},
+          {"intervals", Option::kPath}, {"adaptive", Option::kFlag},
+          trials("200"), seed("1"), text("policy", "retry"), final_checkpoint,
+          law}},
+        {"compare", cmd_compare, {system, trials("100"), seed("1"), law}},
+        {"energy", cmd_energy,
+         {system, {"checkpoint-power", Option::kNumber, "0.7"},
+          {"restart-power", Option::kNumber, "0.6"}, trials("100"), seed("1"),
+          law}},
+        {"sensitivity", cmd_sensitivity,
+         {system, text("technique", "dauwe"), law}},
+        {"trace", cmd_trace,
+         with_telemetry({system, seed("4"),
+                         {"max-events", Option::kInt, "40"}, trials("1"),
+                         text("format", "table"), text("policy", "retry"),
+                         final_checkpoint, {"audit", Option::kFlag}, out,
+                         law})},
+        {"scenario", cmd_scenario,
+         with_telemetry({{"spec", Option::kPath},
+                         {"emit-spec", Option::kOptionalPath}, system, law,
+                         trials(""), seed(""), threads, out,
+                         {"trace", Option::kPath},
+                         {"trace-trials", Option::kInt, "8"}})},
+        {"report", cmd_report,
+         with_telemetry({{"spec", Option::kPath}, trials(""), seed(""), threads,
+                         {"json", Option::kPath}})},
+        {"selftest", cmd_selftest,
+         {{"cases", Option::kInt, "200", 1}, seed("42"),
+          {"case", Option::kInt}, trials("600"),
+          {"welch-systems", Option::kInt, "8"},
+          {"alpha", Option::kNumber, "0.01"}, {"welch-gate", Option::kFlag},
+          {.name = "laws", .kind = Option::kText, .meta = "all|law+law..."},
+          threads, out}},
+        {"serve", cmd_serve,
+         with_telemetry({{"socket", Option::kPath}, threads,
+                         {"queue-limit", Option::kInt, "64", 1},
+                         {"cache-capacity", Option::kInt, "128"}})},
+    };
+  }();
+  return table;
+}
+
+std::string synopsis(const Command& command) {
+  return Cli::synopsis(std::string("mlck ") + command.name, command.options);
+}
+
 }  // namespace
 
 std::string usage() {
-  return "usage: mlck <systems|show|optimize|predict|simulate|compare|energy|"
-         "sensitivity|trace|scenario|report|selftest|serve>"
-         " [--system=<name|file.json>] [options]\n"
-         "run `mlck <command>` with a missing argument for its specific"
-         " requirements; see src/app/commands.h for the full synopsis\n";
+  std::string text;
+  for (const Command& command : commands()) text += synopsis(command);
+  return text;
 }
 
 int run_command(const std::vector<std::string>& args, std::ostream& out,
@@ -817,44 +874,23 @@ int run_command(const std::vector<std::string>& args, std::ostream& out,
     err << usage();
     return 2;
   }
-  const std::string& command = args[0];
-  // The command token rides along (as a positional argument the commands
-  // ignore) so Cli::raw_args() reproduces the full invocation for the
-  // artifact `meta` sections.
-  std::vector<const char*> argv{"mlck", command.c_str()};
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    argv.push_back(args[i].c_str());
+  const auto command = std::find_if(
+      commands().begin(), commands().end(),
+      [&](const Command& c) { return args[0] == c.name; });
+  if (command == commands().end()) {
+    err << "unknown command: " << args[0] << "\n" << usage();
+    return 2;
   }
-  const Cli cli(static_cast<int>(argv.size()), argv.data());
-
+  // argv keeps the command token so Cli::raw_args() reproduces the full
+  // invocation for the artifact `meta` sections; options start after it.
+  std::vector<const char*> argv{"mlck"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
   try {
-    int code = 2;
-    if (command == "systems") code = cmd_systems(out);
-    else if (command == "show") code = cmd_show(cli, out);
-    else if (command == "optimize") code = cmd_optimize(cli, out);
-    else if (command == "predict") code = cmd_predict(cli, out);
-    else if (command == "simulate") code = cmd_simulate(cli, out);
-    else if (command == "compare") code = cmd_compare(cli, out);
-    else if (command == "energy") code = cmd_energy(cli, out);
-    else if (command == "sensitivity") code = cmd_sensitivity(cli, out);
-    else if (command == "trace") code = cmd_trace(cli, out);
-    else if (command == "scenario") code = cmd_scenario(cli, out, err);
-    else if (command == "report") code = cmd_report(cli, out);
-    else if (command == "selftest") code = cmd_selftest(cli, out);
-    else if (command == "serve") code = cmd_serve(cli, out);
-    else {
-      err << "unknown command: " << command << "\n" << usage();
-      return 2;
-    }
-    const auto unknown = cli.unrecognized();
-    if (!unknown.empty()) {
-      err << "warning: unrecognized option(s):";
-      for (const auto& u : unknown) err << " --" << u;
-      err << "\n";
-    }
-    return code;
+    const Cli cli(static_cast<int>(argv.size()), argv.data(),
+                  command->options, 2);
+    return command->run(cli, out, err);
   } catch (const std::out_of_range& e) {
-    err << "error: " << e.what() << "\n" << usage();
+    err << "error: " << e.what() << "\n" << synopsis(*command);
     return 2;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";

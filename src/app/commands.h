@@ -10,42 +10,17 @@ namespace mlck::app {
 /// so the test suite can drive every subcommand against in-memory
 /// streams.
 ///
-/// Usage:
-///   mlck systems
-///   mlck show     --system=<name|file.json>
-///   mlck optimize --system=... [--technique=dauwe] [--out=plan.json]
-///                 [--connect=<socket>] [telemetry]
-///   mlck predict  --system=... --plan=plan.json [--model=dauwe]
-///                 [--connect=<socket>] [telemetry]
-///   mlck simulate --system=... (--plan=plan.json | --technique=dauwe |
-///                 --intervals=schedule.json) [--adaptive]
-///                 [--trials=200] [--seed=1] [--policy=retry|escalate]
-///                 [--law=...]
-///   mlck compare  --system=... [--trials=100] [--law=...]
-///   mlck energy   --system=... [--checkpoint-power=0.7] [--restart-power=0.6]
-///                 [--trials=100] [--seed=1] [--law=...]
-///   mlck sensitivity --system=... [--technique=dauwe] [--law=...]
-///   mlck trace    --system=... [--seed=4] [--max-events=40] [--trials=1]
-///                 [--format=table|chrome|jsonl] [--audit] [--out=trace.json]
-///                 [--law=...] [telemetry]
-///   mlck scenario --spec=scenario.json [--trials=...] [--seed=...]
-///                 [--threads=0] [--out=plan.json]
-///                 [--trace=trace.json] [--trace-trials=8] [telemetry]
-///   mlck scenario --system=... --emit-spec[=scenario.json]
-///   mlck report   --spec=scenario.json [--trials=...] [--seed=...]
-///                 [--threads=0] [--json=report.json] [telemetry]
-///   mlck selftest [--cases=200] [--seed=42] [--case=K]
-///                 [--trials=200] [--welch-systems=8] [--alpha=0.01]
-///                 [--welch-gate] [--threads=0] [--out=report.json]
-///   mlck serve    --socket=<path> [--threads=0] [--queue-limit=64]
-///                 [--cache-capacity=128] [telemetry]
-///
-///   telemetry:    [--metrics[=metrics.json]] [--openmetrics=metrics.txt]
-///                 [--timeline=timeline.jsonl] [--sample-period-ms=50]
+/// Each command declares its options once, in one table in commands.cpp
+/// (name, value kind, default). argv is checked against it before the
+/// command runs: an unknown flag, a stray argument, or a missing,
+/// malformed or out-of-range value exits 2 with the command's synopsis,
+/// which is generated from the same table. `mlck` alone prints every
+/// synopsis.
 ///
 /// Telemetry is always on (app::TelemetryScope, app/telemetry.h): the
-/// six commands marked [telemetry] own one metrics registry for the run,
-/// and the shared flags only choose the outputs. `--metrics=file.json`
+/// commands that declare the telemetry options (optimize, predict, trace,
+/// scenario, report, serve) own one metrics registry for the run, and
+/// those flags only choose the outputs. `--metrics=file.json`
 /// writes an observability sidecar (engine cache, optimizer sweep,
 /// simulator, and thread-pool counters; schema and metric names in
 /// docs/OBSERVABILITY.md) after the report; with no file the metrics
@@ -116,7 +91,7 @@ namespace mlck::app {
 int run_command(const std::vector<std::string>& args, std::ostream& out,
                 std::ostream& err);
 
-/// One-line usage summary (printed on bad invocations).
+/// Every command's synopsis, one per line.
 std::string usage();
 
 }  // namespace mlck::app

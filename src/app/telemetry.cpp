@@ -3,29 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
-#include <stdexcept>
 #include <thread>
 
 #include "core/serialize.h"
 #include "obs/exposition.h"
 
 namespace mlck::app {
-
-namespace {
-
-/// The value of --@p flag, which must carry a path when it is given.
-std::string export_path(const util::Cli& cli, const char* flag,
-                        const char* example) {
-  const auto path = cli.value(flag);
-  if (path && path->empty()) {
-    throw std::out_of_range(std::string("--") + flag +
-                            " requires a file path (--" + flag + "=" +
-                            example + ")");
-  }
-  return path.value_or("");
-}
-
-}  // namespace
 
 std::size_t pool_width(int threads) {
   if (threads > 0) return static_cast<std::size_t>(threads);
@@ -34,21 +17,43 @@ std::size_t pool_width(int threads) {
 
 void apply_trials_and_seed(const util::Cli& cli, engine::ScenarioSpec& spec) {
   if (cli.has("trials")) {
-    spec.trials = static_cast<std::size_t>(cli.get_int("trials", 0));
+    spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
   }
-  spec.seed = cli.get_u64("seed", spec.seed);
+  if (cli.has("seed")) spec.seed = cli.get_u64("seed");
+}
+
+util::Option law_option() {
+  return {.name = "law",
+          .kind = util::Option::kLaw,
+          .check = [](const std::string& text) {
+            (void)engine::DistributionSpec::parse(text);
+          }};
+}
+
+std::optional<engine::DistributionSpec> law_flag(const util::Cli& cli) {
+  const auto text = cli.value("law");
+  if (!text) return std::nullopt;
+  return engine::DistributionSpec::parse(*text);
+}
+
+std::vector<util::Option> telemetry_options() {
+  using util::Option;
+  return {{"metrics", Option::kOptionalPath},
+          {"openmetrics", Option::kPath},
+          {"timeline", Option::kPath},
+          {"sample-period-ms", Option::kInt, "50", 1}};
 }
 
 TelemetryScope::TelemetryScope(const util::Cli& cli)
     : argv_(cli.raw_args()),
       metrics_path_(cli.value("metrics")),
-      openmetrics_path_(export_path(cli, "openmetrics", "out.txt")),
-      timeline_path_(export_path(cli, "timeline", "out.jsonl")),
+      openmetrics_path_(cli.get_string("openmetrics")),
+      timeline_path_(cli.get_string("timeline")),
       metrics_(registry_) {
   if (!timeline_path_.empty()) {
     obs::TelemetrySampler::Options options;
-    options.period = std::chrono::milliseconds(
-        std::max(1, cli.get_int("sample-period-ms", 50)));
+    options.period =
+        std::chrono::milliseconds(cli.get_int("sample-period-ms"));
     sampler_ = std::make_unique<obs::TelemetrySampler>(registry_, options);
     sampler_->start();
   }

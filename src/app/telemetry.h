@@ -23,8 +23,20 @@ std::size_t pool_width(int threads);
 /// The one rule for --trials and --seed on a scenario, shared by
 /// `mlck scenario`, `mlck report` and the bench drivers: each flag
 /// overrides @p spec only when it is given, and --seed keeps its full
-/// 64-bit value. A malformed --seed throws std::out_of_range.
+/// 64-bit value.
 void apply_trials_and_seed(const util::Cli& cli, engine::ScenarioSpec& spec);
+
+/// --law=<law> in the scenario "failure" grammar: exponential |
+/// weibull:shape=K | lognormal:sigma=S, with optional ,mean=M / ,scale=S.
+/// A malformed law is a usage error when argv is parsed.
+util::Option law_option();
+
+/// The one reader of --law: the parsed law, or nothing when it is absent.
+std::optional<engine::DistributionSpec> law_flag(const util::Cli& cli);
+
+/// The options TelemetryScope reads: --metrics[=file.json],
+/// --openmetrics=file.txt, --timeline=file.jsonl, --sample-period-ms.
+std::vector<util::Option> telemetry_options();
 
 /// The one telemetry lifecycle. Telemetry is always on: the scope owns a
 /// registry with the engine::ScenarioMetrics names registered up front,
@@ -35,8 +47,7 @@ void apply_trials_and_seed(const util::Cli& cli, engine::ScenarioSpec& spec);
 /// construction to flush() exactly when --timeline is given.
 class TelemetryScope {
  public:
-  /// Throws std::out_of_range when --openmetrics or --timeline has no
-  /// path.
+  /// @p cli must declare telemetry_options().
   explicit TelemetryScope(const util::Cli& cli);
 
   TelemetryScope(const TelemetryScope&) = delete;

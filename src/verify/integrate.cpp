@@ -22,7 +22,12 @@ double adaptive(const std::function<double(double)>& f, double a, double b,
   const double left = simpson(fa, flm, fm, m - a);
   const double right = simpson(fm, frm, fb, b - m);
   const double delta = left + right - whole;
-  if (depth <= 0 || std::abs(delta) <= 15.0 * tol) {
+  // The second bound stops the refinement once the two estimates agree
+  // to 1e-14, below every tolerance the oracle asks for: an absolute
+  // tolerance under the integrand's rounding noise is never met and would
+  // subdivide to the depth cap (2^depth evaluations).
+  if (depth <= 0 ||
+      std::abs(delta) <= std::max(15.0 * tol, 1e-14 * std::abs(left + right))) {
     return left + right + delta / 15.0;  // Richardson correction
   }
   return adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) +

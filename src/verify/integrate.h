@@ -5,7 +5,8 @@
 namespace mlck::verify {
 
 /// Adaptive Simpson quadrature of @p f over [a, b] to absolute tolerance
-/// @p tol. Deterministic; recursion depth capped (the result of the last
+/// @p tol, or until a panel's two estimates agree to 1e-14 relative.
+/// Deterministic; recursion depth capped (the result of the last
 /// refinement is returned if the cap is hit).
 ///
 /// The quadrature behind the verify oracle (oracle.h), which evaluates

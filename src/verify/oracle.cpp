@@ -17,22 +17,43 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// integral's magnitude: P(t, X) ~ min(1, Xt) for small windows.
 double probability_scale(double u) noexcept { return std::min(1.0, u); }
 
+/// Integral of @p f over [a, b] split at every landmark inside (a, b).
+template <typename F>
+double integrate_marked(const F& f, double a, double b, double tol,
+                        std::initializer_list<double> marks) {
+  if (!(b > a)) return 0.0;
+  double total = 0.0;
+  double lo = a;
+  for (const double m : marks) {  // marks must be ascending
+    if (m <= lo || m >= b) continue;
+    total += integrate(f, lo, m, tol);
+    lo = m;
+  }
+  total += integrate(f, lo, b, tol);
+  return total;
+}
+
 // ---- Weibull via the u = (x / lambda)^shape substitution ----
 //
 // With u substituted, the density becomes the *unit exponential* e^{-u}:
 //   P(t)            = integral_0^{u_t} e^{-u} du,  u_t = (t / lambda)^shape
 //   int_0^t x f dx  = lambda * integral_0^{u_t} u^{1/shape} e^{-u} du
-// so the unit-mean domain policy (cap 60, split 8 — integration_domain
-// with mean 1) applies verbatim in u-space, and nothing here touches the
-// Weibull closed forms in src/math.
+// with lambda = mean / Gamma(a), a = 1 + 1/shape. The unit-mean domain
+// policy (integration_domain with mean 1) fits P, but the first-moment
+// integrand is Gamma(a) times the Gamma(a) density, whose mass sits near
+// its mean a (u = 50 at shape 0.02), with spread sqrt(a). So that density
+// is integrated in log form, split at its mean +-8 spreads and capped 60
+// spreads past it. Nothing here touches the closed forms in src/math.
 
-double weibull_scale_for(double rate, double shape) {
-  return (1.0 / rate) / std::tgamma(1.0 + 1.0 / shape);
+/// u_t = (t / lambda)^shape, in log form so t / lambda never overflows.
+double weibull_u(double t, double rate, double shape) {
+  return std::exp(shape *
+                  (std::log(t * rate) + std::lgamma(1.0 + 1.0 / shape)));
 }
 
 double weibull_p(double t, double rate, double shape) {
   if (t <= 0.0 || rate <= 0.0) return 0.0;
-  const double u_t = std::pow(t / weibull_scale_for(rate, shape), shape);
+  const double u_t = weibull_u(t, rate, shape);
   const auto density = [](double u) { return std::exp(-u); };
   const double b = integration_domain(u_t, 1.0).cap;
   const double tol = std::max(1e-300, 1e-13 * probability_scale(u_t));
@@ -41,7 +62,7 @@ double weibull_p(double t, double rate, double shape) {
 
 double weibull_s(double t, double rate, double shape) {
   if (t <= 0.0 || rate <= 0.0) return 1.0;
-  const double u_t = std::pow(t / weibull_scale_for(rate, shape), shape);
+  const double u_t = weibull_u(t, rate, shape);
   if (u_t >= 745.0) return 0.0;  // e^{-u_t} underflows double
   const auto density = [](double u) { return std::exp(-u); };
   const double tol = std::max(1e-300, 1e-13 * std::exp(-u_t));
@@ -53,23 +74,29 @@ double weibull_tmean(double t, double rate, double shape) {
   if (rate <= 0.0) return 0.5 * t;
   const double p = weibull_p(t, rate, shape);
   if (p <= 0.0) return 0.5 * t;
-  const double lambda = weibull_scale_for(rate, shape);
-  const double u_t = std::pow(t / lambda, shape);
-  const double inv = 1.0 / shape;
-  const auto weighted = [inv](double u) {
-    return std::pow(u, inv) * std::exp(-u);
+  const double u_t = weibull_u(t, rate, shape);
+  const double a = 1.0 + 1.0 / shape;
+  // Written around the mode m = a - 1: the plain exponent
+  // (a - 1) ln u - u - ln Gamma(a) cancels terms near a ln a, leaving
+  // ~1e-13 relative noise at small shapes, above the tolerance.
+  const double mode = a - 1.0;
+  const double log_peak = mode * std::log(mode) - mode - std::lgamma(a);
+  const auto gamma_density = [mode, log_peak](double u) {
+    const double y = (u - mode) / mode;
+    const double log_ratio =
+        std::abs(y) < 0.5 ? std::log1p(y) : std::log(u / mode);
+    return std::exp(log_peak + mode * (log_ratio - y));
   };
-  const IntegrationDomain dom = integration_domain(u_t, 1.0);
-  // Small windows: integral ~ u_t^{1 + 1/shape} / (1 + 1/shape); large
-  // windows: Gamma(1 + 1/shape) (the full first moment in u-space).
-  const double tol = std::max(
-      1e-300, 0.5e-13 * std::min(std::pow(u_t, 1.0 + inv) / (1.0 + inv),
-                                 std::tgamma(1.0 + inv)));
-  double mass = integrate(weighted, 0.0, dom.split, tol);
-  if (dom.cap > dom.split) {
-    mass += integrate(weighted, dom.split, dom.cap, tol);
-  }
-  return lambda * mass / p;
+  const double spread = std::sqrt(a);
+  const double b = std::min(u_t, a + 60.0 * spread);
+  // A lower bound on the mass below b scales the tolerance (past the mean
+  // it is 1/2: the Gamma median lies below its mean).
+  const double scale =
+      b < a ? std::exp(a * std::log(b) - b - std::lgamma(a + 1.0)) : 0.5;
+  const double tol = std::max(1e-300, 0.5e-13 * scale);
+  const double mass = integrate_marked(gamma_density, 0.0, b, tol,
+                                       {a - 8.0 * spread, a, a + 8.0 * spread});
+  return mass / (rate * p);  // lambda * Gamma(a) = 1 / rate
 }
 
 // ---- Log-normal via the z = (ln x - mu) / sigma substitution ----
@@ -88,22 +115,6 @@ constexpr double kSqrt2 = 1.4142135623730951;
 double phi(double z) {
   constexpr double kSqrt2Pi = 2.5066282746310002;
   return std::exp(-0.5 * z * z) / kSqrt2Pi;
-}
-
-/// Integral of @p f over [a, b] split at every landmark inside (a, b).
-template <typename F>
-double integrate_marked(const F& f, double a, double b, double tol,
-                        std::initializer_list<double> marks) {
-  if (!(b > a)) return 0.0;
-  double total = 0.0;
-  double lo = a;
-  for (const double m : marks) {  // marks must be ascending
-    if (m <= lo || m >= b) continue;
-    total += integrate(f, lo, m, tol);
-    lo = m;
-  }
-  total += integrate(f, lo, b, tol);
-  return total;
 }
 
 double lognormal_mu_for(double rate, double sigma) {

@@ -48,6 +48,11 @@ std::string row_value(const std::string& out, const std::string& label) {
   return "<no row " + label + ">";
 }
 
+/// The first line of @p text.
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n'));
+}
+
 TEST(Commands, NoArgumentsPrintsUsage) {
   const auto r = run({});
   EXPECT_EQ(r.code, 2);
@@ -310,6 +315,35 @@ TEST(Commands, SeedKeepsItsFull64BitValue) {
   }
   std::filesystem::remove(spec);
   std::filesystem::remove(seeded);
+}
+
+TEST(Commands, MalformedValuesAreUsageErrorsBeforeAnyWork) {
+  // Each value is checked against its declared kind and range when argv
+  // is parsed, so none of these runs anything. The required --system and
+  // --socket are left out: a build that ran the command would still stop
+  // on them.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"simulate", "--trials=5x"}, "--trials=5x"},
+       {{"simulate", "--trials=-1"}, "--trials=-1"},
+       {{"simulate", "--trials", "-1"}, "--trials=-1"},
+       {{"selftest", "--cases=1e3"}, "--cases=1e3"},
+       {{"selftest", "--cases=10", "--case=30"}, "--case must be below"},
+       {{"trace", "--trials=2", "--audit", "yes-please"}, "yes-please"},
+       {{"trace", "--audit=yes"}, "--audit"},
+       {{"serve", "--queue-limit=0"}, "--queue-limit=0"},
+       {{"serve", "--cache-capacity=-5"}, "--cache-capacity=-5"},
+       {{"optimize", "--sample-period-ms=0"}, "--sample-period-ms=0"},
+       {{"energy", "--checkpoint-power=abc"}, "--checkpoint-power=abc"},
+       {{"compare", "--law=weibull:shape"}, "--law=weibull:shape"},
+       {{"compare", "--trials=5", "--trials=6"}, "--trials"},
+       {{"show", "--system"}, "--system"},
+       {{"report", "--json="}, "--json"}};
+  for (const auto& [args, named] : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << testing::PrintToString(args);
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(first_line(r.err).rfind("error: " + named, 0), 0u) << r.err;
+  }
 }
 
 TEST(Commands, ScenarioOpenMetricsAndTimelineExports) {
@@ -670,10 +704,66 @@ TEST(Commands, SelftestSingleCaseReplay) {
   EXPECT_NE(r.out.find("1 case"), std::string::npos);
 }
 
-TEST(Commands, UnrecognizedOptionWarns) {
+TEST(Commands, UnrecognizedOptionIsAUsageError) {
   const auto r = run({"systems", "--bogus=1"});
-  EXPECT_EQ(r.code, 0);
-  EXPECT_NE(r.err.find("--bogus"), std::string::npos);
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.out, "");
+  EXPECT_EQ(r.err.rfind("error: --bogus: unknown option\nusage: mlck systems",
+                        0),
+            0u)
+      << r.err;
+}
+
+/// A valid value for a synopsis item's placeholder (or its default).
+std::string sample_value(const std::string& placeholder) {
+  if (placeholder.empty() || placeholder[0] != '<') return placeholder;
+  if (placeholder == "<n>" || placeholder == "<u64>" || placeholder == "<x>") {
+    return "3";
+  }
+  if (placeholder == "<law>") return "weibull:shape=0.7";
+  if (placeholder == "<all|law+law...>") return "all";
+  if (placeholder == "<name|file.json>") return "B";
+  return "/nonexistent/value";
+}
+
+TEST(Commands, EveryDeclaredOptionParses) {
+  // Each synopsis line is generated from its command's option table.
+  // Passing every option it lists, each with a valid value, plus one
+  // bogus flag must fail on the bogus flag alone: every documented flag
+  // parses, and nothing runs before argv is checked.
+  std::istringstream lines(usage());
+  const std::regex command_re(R"(^usage: mlck (\S+))");
+  const std::regex item_re(R"(\[--([a-z0-9-]+)(\[?=)?([^\]]*)\]?\])");
+  std::vector<std::vector<std::string>> invocations;
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch m;
+    if (std::regex_search(line, m, command_re)) {
+      invocations.push_back({m[1].str()});
+    }
+    ASSERT_FALSE(invocations.empty()) << line;
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), item_re);
+         it != std::sregex_iterator(); ++it) {
+      const std::string name = (*it)[1].str();
+      if (!(*it)[2].matched) {
+        invocations.back().push_back("--" + name);  // a flag
+      } else {
+        invocations.back().push_back("--" + name + "=" +
+                                     sample_value((*it)[3].str()));
+      }
+    }
+  }
+  ASSERT_EQ(invocations.size(), 13u);
+  for (auto args : invocations) {
+    SCOPED_TRACE(testing::PrintToString(args));
+    if (args[0] != "systems") {
+      EXPECT_GT(args.size(), 1u);
+    }
+    args.push_back("--bogus-flag");
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2);
+    EXPECT_EQ(r.out, "");
+    EXPECT_EQ(first_line(r.err), "error: --bogus-flag: unknown option");
+  }
 }
 
 }  // namespace

@@ -388,6 +388,13 @@ TEST(ServeE2E, CliServeRoundTripsThinClientsAndStopsCleanly) {
             0)
       << local_err.str();
   EXPECT_EQ(core::read_file(remote_plan), core::read_file(local_plan));
+  std::ostringstream predict_out, predict_err;
+  EXPECT_EQ(app::run_command({"predict", "--system=M", "--plan=" + local_plan,
+                              "--connect=" + socket},
+                             predict_out, predict_err),
+            0)
+      << predict_err.str();
+  EXPECT_NE(predict_out.str().find("served by"), std::string::npos);
   ::unlink(remote_plan.c_str());
   ::unlink(local_plan.c_str());
 

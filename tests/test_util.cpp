@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -101,6 +102,76 @@ TEST(Cli, BoolValues) {
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_TRUE(cli.get_bool("d", false));
   EXPECT_TRUE(cli.get_bool("absent", true));
+}
+
+const std::vector<Option> kTable = {{"trials", Option::kInt, "200", 1},
+                                    {"seed", Option::kU64},
+                                    {"ratio", Option::kNumber, "0.5"},
+                                    {"out", Option::kPath},
+                                    {"metrics", Option::kOptionalPath},
+                                    {"verbose", Option::kFlag}};
+
+/// The UsageError message of a strict parse of @p args, or "" if none.
+std::string usage_error(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  try {
+    Cli(static_cast<int>(args.size()), args.data(), kTable);
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, StrictParseTakesValuesFromTheTable) {
+  const char* argv[] = {"prog", "--trials", "50", "--seed=5000000000",
+                        "--verbose", "--metrics", "--out", "x.json"};
+  const Cli cli(8, argv, kTable);
+  EXPECT_EQ(cli.get_int("trials"), 50);
+  EXPECT_EQ(cli.get_u64("seed"), 5000000000u);
+  EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 0.5);  // the declared default
+  EXPECT_TRUE(cli.has("verbose"));
+  EXPECT_EQ(cli.value("metrics"), "");
+  EXPECT_EQ(cli.get_string("out"), "x.json");
+  // Reading an undeclared option is a programming error, not a default.
+  EXPECT_THROW((void)cli.has("typo"), std::logic_error);
+}
+
+TEST(Cli, StrictParseRejectsEveryMalformedInvocation) {
+  EXPECT_EQ(usage_error({"--trials=5"}), "");
+  EXPECT_EQ(usage_error({"--trails=5"}), "--trails: unknown option");
+  EXPECT_EQ(usage_error({"input.txt"}), "input.txt: unexpected argument");
+  // A flag never takes the next token, so "yes" is a stray argument.
+  EXPECT_EQ(usage_error({"--verbose", "yes"}), "yes: unexpected argument");
+  EXPECT_EQ(usage_error({"--verbose=1"}),
+            "--verbose is a flag and takes no value");
+  EXPECT_EQ(usage_error({"--metrics", "m.json"}),
+            "m.json: unexpected argument");
+  EXPECT_EQ(usage_error({"--trials=5x"}),
+            "--trials=5x: expected an integer >= 1");
+  EXPECT_EQ(usage_error({"--trials", "0"}),
+            "--trials=0: expected an integer >= 1");
+  EXPECT_EQ(usage_error({"--trials=1e3"}),
+            "--trials=1e3: expected an integer >= 1");
+  EXPECT_EQ(usage_error({"--trials=99999999999"}),
+            "--trials=99999999999: expected an integer >= 1");
+  EXPECT_EQ(usage_error({"--trials"}), "--trials requires a value");
+  EXPECT_EQ(usage_error({"--trials", "--verbose"}),
+            "--trials requires a value");
+  EXPECT_EQ(usage_error({"--out="}), "--out requires a file path");
+  EXPECT_EQ(usage_error({"--ratio=abc"}), "--ratio=abc: expected a number");
+  EXPECT_EQ(usage_error({"--ratio=inf"}), "--ratio=inf: expected a number");
+  EXPECT_EQ(usage_error({"--ratio=\t5"}), "--ratio=\t5: expected a number");
+  EXPECT_EQ(usage_error({"--seed=-1"}),
+            "--seed=-1: expected an unsigned 64-bit integer");
+  EXPECT_EQ(usage_error({"--trials=5", "--trials=6"}),
+            "--trials given more than once");
+}
+
+TEST(Cli, SynopsisIsGeneratedFromTheTable) {
+  EXPECT_EQ(Cli::synopsis("prog", kTable),
+            "usage: prog [--trials=200] [--seed=<u64>] [--ratio=0.5] "
+            "[--out=<path>]\n"
+            "            [--metrics[=<path>]] [--verbose]\n");
 }
 
 TEST(ThreadPool, ExecutesAllTasks) {
