@@ -313,7 +313,7 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out, std::ostream&) {
   // computation interval? (Daly's classic observation: the optimum is
   // flat, so interval estimates can be rough. The sweep quantifies how
   // flat, per system.) The tau variants share one cached evaluation
-  // context through the engine's batch API.
+  // context.
   engine::ScenarioSpec spec;
   spec.system = system_from(cli);
   spec.model = cli.get_string("technique");
@@ -332,7 +332,8 @@ int cmd_sensitivity(const Cli& cli, std::ostream& out, std::ostream&) {
     plan.tau0 = selected.plan.tau0 * factor;
     variants.push_back(plan);
   }
-  const std::vector<double> times = eng.expected_times(variants);
+  std::vector<double> times;
+  for (const auto& plan : variants) times.push_back(eng.expected_time(plan));
   const double best = system.base_time / times[0];
 
   Table table({"tau0 factor", "tau0 (min)", "predicted eff",

@@ -66,7 +66,7 @@ namespace mlck::app {
 ///
 /// `scenario --trace=trace.json` writes a Chrome trace-event JSON file
 /// (loadable in Perfetto / chrome://tracing) with host-side spans — plan
-/// selection, optimizer sweep slices, context builds, pool tasks — one
+/// selection, optimizer sweep blocks, context builds, pool tasks — one
 /// track per pool worker, plus the event streams of the first
 /// `--trace-trials` simulated trials, one track per trial.
 ///

@@ -131,9 +131,9 @@ class DauweKernel {
     /// gamma_k * E(tau_k). The optimizer's admissible subtree bound is
     /// built from these (docs/PERFORMANCE.md); they are exactly the
     /// values the recursion itself uses, so a bound assembled from them
-    /// inherits the cursor's arithmetic. When dead_at(k) the tau is
-    /// non-finite and the gamma pair is stale — callers must treat the
-    /// subtree as +inf rather than consume the values.
+    /// inherits the cursor's arithmetic. When some stage <= k overflowed
+    /// the tau is non-finite and the gamma pair is stale — callers must
+    /// treat the subtree as +inf rather than consume the values.
     double stage_tau(int k) const noexcept {
       return tau_[static_cast<std::size_t>(k)];
     }
@@ -143,9 +143,6 @@ class DauweKernel {
     double stage_gamma_e(int k) const noexcept {
       return gamma_e_[static_cast<std::size_t>(k)];
     }
-    /// True when some stage <= @p k overflowed: every leaf under the
-    /// current prefix evaluates to +inf.
-    bool dead_at(int k) const noexcept { return dead_from_ <= k; }
 
    private:
     /// Enters stage @p k with interval @p tau: records tau_k and the
@@ -185,14 +182,6 @@ class DauweKernel {
 
   const std::vector<DauweLevelTerms>& levels() const noexcept {
     return level_;
-  }
-  double scratch_lambda() const noexcept { return scratch_lambda_; }
-  double base_time() const noexcept { return base_time_; }
-  const DauweOptions& options() const noexcept { return options_; }
-  /// Primitive driving the restart-from-scratch wrap; null on the
-  /// exponential fast path.
-  const math::LawPrimitive* scratch_law() const noexcept {
-    return scratch_law_.get();
   }
 
  private:

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "core/dauwe_kernel.h"
-#include "math/simd.h"
 #include "obs/trace.h"
 #include "util/parallel.h"
 
@@ -20,9 +21,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-using math::kSimdLanes;
-using math::LaneMask;
-using math::Vec8d;
+/// tau0 grid points per sweep task, walked through one count lattice as
+/// lanes.
+constexpr std::size_t kLanes = 8;
+
+/// Lane mask: bit l set means lane l participates.
+using LaneMask = std::uint8_t;
+
+/// Calls @p f(l) for every lane l set in @p mask, in ascending order.
+template <typename F>
+void for_each_lane(LaneMask mask, const F& f) {
+  for (unsigned m = mask; m != 0; m &= m - 1) f(std::countr_zero(m));
+}
 
 struct Candidate {
   double time = kInf;
@@ -50,9 +60,8 @@ std::vector<double> log_grid(double lo, double hi, int points) {
 }
 
 /// Per-(subset, tau0) coarse-pass output. One slot per tau0 point keeps
-/// the reduction serial and deterministic regardless of how slices are
-/// grouped into tasks (per-plan: one task per slot; staged: one task per
-/// 8 slots).
+/// the reduction serial and deterministic regardless of how tau0 points
+/// are grouped into tasks.
 struct Slot {
   Candidate best;
   std::size_t evals = 0;
@@ -69,64 +78,6 @@ std::vector<std::size_t> leaves_below(std::size_t dims, std::size_t rungs) {
     p *= rungs;
   }
   return out;
-}
-
-/// Enumerates the ladder^dims count lattice for one tau0 slice of the
-/// per-plan search, evaluating @p model at every feasible leaf of
-/// @p plan's level subset. The walk is the recursive sweep flattened into
-/// an explicit rung stack. The feasibility prune (the ladder ascends, so
-/// the first infeasible rung cuts the rest of the depth) counts *leaf
-/// plans* eliminated: each rung cut at depth d hides ladder^(dims-1-d)
-/// leaves, so evals + pruned_feas == ladder^dims for every slice.
-void sweep_slice(const ExecutionTimeModel& model,
-                 const systems::SystemConfig& system,
-                 const std::vector<int>& ladder, CheckpointPlan& plan,
-                 Slot& slot) {
-  const std::size_t dims = plan.counts.size();
-  const auto consider = [&] {
-    ++slot.evals;
-    const double t = model.expected_time(system, plan);
-    if (t < slot.best.time) {
-      slot.best.time = t;
-      slot.best.tau0 = plan.tau0;
-      slot.best.counts = plan.counts;
-    }
-  };
-  if (dims == 0) {
-    consider();
-    return;
-  }
-
-  const std::vector<std::size_t> below = leaves_below(dims, ladder.size());
-  std::vector<std::size_t> rung(dims, 0);
-  std::vector<double> pattern(dims + 1, 1.0);  // prefix prod (N_j + 1)
-  std::size_t d = 0;
-  while (true) {
-    if (rung[d] == ladder.size()) {  // depth exhausted: ascend
-      if (d == 0) return;
-      --d;
-      ++rung[d];
-      continue;
-    }
-    const int n = ladder[rung[d]];
-    const double p = pattern[d] * (n + 1);
-    if (plan.tau0 * p > system.base_time) {  // cut the remaining rungs
-      slot.pruned_feas += (ladder.size() - rung[d]) * below[d];
-      if (d == 0) return;
-      --d;
-      ++rung[d];
-      continue;
-    }
-    plan.counts[d] = n;
-    pattern[d + 1] = p;
-    if (d + 1 == dims) {
-      consider();
-      ++rung[d];
-    } else {
-      ++d;
-      rung[d] = 0;
-    }
-  }
 }
 
 /// Tau-independent constants of the admissible subtree lower bound for one
@@ -174,77 +125,168 @@ BoundTerms bound_terms(const DauweKernel& kernel) {
   return bt;
 }
 
-/// Inputs of one lane-batched sweep task: up to kSimdLanes consecutive
-/// tau0 grid points of one level subset, walked through the count lattice
-/// together.
-struct LaneSweepArgs {
-  const DauweKernel* kernel = nullptr;
-  const double* taus = nullptr;  ///< ascending lane tau0 values
-  int nlanes = 0;                ///< 1..kSimdLanes
-  double base_time = 0.0;
-  const std::vector<int>* ladder = nullptr;
-  /// Best expected time found so far for this level subset, shared across
-  /// all of its sweep tasks. Monotone non-increasing, so relaxed loads are
-  /// safe: a stale value can only prune less, never a surviving candidate.
-  std::atomic<double>* incumbent = nullptr;
-  Slot* slots = nullptr;  ///< nlanes entries, one per tau0 point
+/// One sweep task: up to kLanes tau0 grid points of one level subset,
+/// walked through the count lattice together (coarse_pass picks them).
+/// The walk fills the block's own slots, copied out once the task ends,
+/// so tasks on other threads never share a cache line per leaf.
+struct Block {
+  std::array<double, kLanes> taus{};  ///< ascending lane tau0 values
+  std::array<Slot, kLanes> slots{};   ///< each lane's (subset, tau0) slot
+  int nlanes = 0;                     ///< 1..kLanes
 };
 
-/// The staged counterpart of sweep_slice: eight scalar cursors
-/// advance in lockstep through one shared rung-stack walk, so the lattice
-/// bookkeeping (rungs, pattern prefix, leaves_below) is paid once per
-/// block instead of once per tau0 point, while every model value still
-/// comes out of the scalar DauweKernel::Cursor arithmetic — the lanes
-/// change which subtrees are *visited*, never what a visited leaf is
-/// worth. Per-lane accounting matches the scalar walk exactly:
-/// evals + pruned_feas + pruned_bound == ladder^dims for every lane.
-void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
-  const std::vector<int>& ladder = *a.ladder;
-  const std::size_t dims = counts.size();
-
-  DauweKernel::Cursor cursors[kSimdLanes] = {
-      a.kernel->cursor(), a.kernel->cursor(), a.kernel->cursor(),
-      a.kernel->cursor(), a.kernel->cursor(), a.kernel->cursor(),
-      a.kernel->cursor(), a.kernel->cursor()};
-  Vec8d tau0v = math::v8_splat(std::numeric_limits<double>::quiet_NaN());
-  for (int l = 0; l < a.nlanes; ++l) {
-    cursors[l].begin(a.taus[l]);
-    tau0v.lane[l] = a.taus[l];
+/// Lane evaluator of the per-plan search: one ExecutionTimeModel call per
+/// visited leaf. It keeps no prefix state and never cuts, so every lane
+/// evaluates its whole feasible lattice, in the order a one-slice walk
+/// would.
+class ModelLanes {
+ public:
+  ModelLanes(const ExecutionTimeModel& model,
+             const systems::SystemConfig& system, std::vector<int> levels,
+             const double* taus)
+      : model_(model), system_(system), taus_(taus) {
+    plan_.levels = std::move(levels);
+    plan_.counts.assign(plan_.levels.size() - 1, 0);
   }
 
-  const auto consider = [&](int l, double t) {
-    Slot& s = a.slots[l];
+  /// The counts the walk writes, read by leaf().
+  std::vector<int>& counts() noexcept { return plan_.counts; }
+  void begin(int, double) noexcept {}
+  void push(int, int, int) noexcept {}
+  LaneMask cut(int, double, LaneMask) const noexcept { return 0; }
+  double leaf(int l, double) {
+    plan_.tau0 = taus_[l];
+    return model_.expected_time(system_, plan_);
+  }
+  void improved(double) noexcept {}
+
+ private:
+  const ExecutionTimeModel& model_;
+  const systems::SystemConfig& system_;
+  const double* taus_;
+  CheckpointPlan plan_;
+};
+
+/// Lane evaluator of the staged search: one DauweKernel::Cursor stack per
+/// lane, the admissible bound over those stacks, and the level subset's
+/// shared incumbent. Every visited leaf is the cursor's scalar
+/// arithmetic, so the lanes change which subtrees are *visited*, never
+/// what a visited leaf is worth.
+class KernelLanes {
+ public:
+  /// @p incumbent is the best expected time found so far for this level
+  /// subset, shared across all of its sweep tasks. Monotone
+  /// non-increasing, so relaxed loads are safe: a stale value can only
+  /// prune less, never a surviving candidate.
+  KernelLanes(const DauweKernel& kernel, const Block& block,
+              double base_time, std::atomic<double>& incumbent)
+      : cursor_{kernel.cursor(), kernel.cursor(), kernel.cursor(),
+                kernel.cursor(), kernel.cursor(), kernel.cursor(),
+                kernel.cursor(), kernel.cursor()},
+        counts_(kernel.levels().size() - 1, 0),
+        bt_(bound_terms(kernel)),
+        taus_(block.taus.data()),
+        base_time_(base_time),
+        incumbent_(incumbent) {}
+
+  std::vector<int>& counts() noexcept { return counts_; }
+  void begin(int l, double tau0) noexcept { cursor_[l].begin(tau0); }
+  void push(int l, int k, int n) noexcept { cursor_[l].push_stage(k, n); }
+
+  /// Lanes of @p feas whose whole subtree below the just-entered stage
+  /// @p e provably cannot beat the incumbent, at pattern prefix @p p:
+  ///   LB = occ_e * (gamma_e R_e + (tau_e + gamma_e E_e))
+  ///      + (T_B * tail_half[e]) * tau_e,   occ_e = (T_B / p) / tau0,
+  /// cut when LB * (1 - 1e-12) > incumbent (the factor absorbs bound-side
+  /// rounding). A dead lane's stage tau is +inf, so its bound is +inf or
+  /// NaN; NaN never compares greater, so no finite subtree is cut.
+  LaneMask cut(int e, double p, LaneMask feas) const noexcept {
+    const double inc = incumbent_.load(std::memory_order_relaxed);
+    if (!(inc < kInf)) return 0;
+    const double occ_scale = base_time_ / p;
+    const double restart = bt_.restart_cost[static_cast<std::size_t>(e)];
+    const double tail = base_time_ * bt_.tail_half[static_cast<std::size_t>(e)];
+    LaneMask out = 0;
+    for_each_lane(feas, [&](int l) {
+      const DauweKernel::Cursor& c = cursor_[l];
+      const double tau_e = c.stage_tau(e);
+      const double occ = occ_scale / taus_[l];
+      const double core = c.stage_gamma(e) * restart +
+                          (tau_e + c.stage_gamma_e(e));
+      const double lb = occ * core + tail * tau_e;
+      if (lb * (1.0 - 1e-12) > inc) out |= static_cast<LaneMask>(1u << l);
+    });
+    return out;
+  }
+
+  double leaf(int l, double p) const noexcept {
+    return cursor_[l].finish_expected_time(p);
+  }
+
+  void improved(double t) noexcept {
+    double cur = incumbent_.load(std::memory_order_relaxed);
+    while (t < cur && !incumbent_.compare_exchange_weak(
+                          cur, t, std::memory_order_relaxed)) {
+    }
+  }
+
+ private:
+  std::array<DauweKernel::Cursor, kLanes> cursor_;
+  std::vector<int> counts_;
+  BoundTerms bt_;
+  const double* taus_;
+  double base_time_;
+  std::atomic<double>& incumbent_;
+};
+
+/// The count-lattice walk of both searches, flattened into an explicit
+/// rung stack: the block's lanes advance in lockstep, so the lattice
+/// bookkeeping (rungs, pattern prefix, leaves_below) is paid once per
+/// block instead of once per tau0 point, while @p lanes prices each
+/// visited leaf and may cut subtrees. The feasibility prune (the ladder
+/// ascends, so the first infeasible rung cuts the rest of the depth)
+/// counts *leaf plans* eliminated: each rung cut at depth d hides
+/// ladder^(dims-1-d) leaves, so per lane
+/// evals + pruned_feas + pruned_bound == ladder^dims.
+///
+/// Lanes (ModelLanes, KernelLanes) provides counts(), the vector the walk
+/// writes; begin(l, tau0); push(l, d, n) when lane l takes count n at
+/// depth d; cut(e, p, feas), the lanes of feas to skip below the
+/// just-entered stage e at pattern prefix p; leaf(l, p), a visited leaf's
+/// expected time; and improved(t) when a lane's slot-best drops to t.
+template <typename Lanes>
+void lane_sweep(Lanes& lanes, Block& b, const std::vector<int>& ladder,
+                double base_time) {
+  std::vector<int>& counts = lanes.counts();
+  const std::size_t dims = counts.size();
+  for (int l = 0; l < b.nlanes; ++l) lanes.begin(l, b.taus[l]);
+
+  const auto consider = [&](int l, double p) {
+    const double t = lanes.leaf(l, p);
+    Slot& s = b.slots[l];
     ++s.evals;
     if (t < s.best.time) {
       s.best.time = t;
-      s.best.tau0 = a.taus[l];
+      s.best.tau0 = b.taus[l];
       s.best.counts = counts;
-      double cur = a.incumbent->load(std::memory_order_relaxed);
-      while (t < cur && !a.incumbent->compare_exchange_weak(
-                            cur, t, std::memory_order_relaxed)) {
-      }
+      lanes.improved(t);
     }
   };
 
   if (dims == 0) {
-    for (int l = 0; l < a.nlanes; ++l) {
-      consider(l, cursors[l].finish_expected_time(1.0));
-    }
+    for (int l = 0; l < b.nlanes; ++l) consider(l, 1.0);
     return;
   }
 
   const std::vector<std::size_t> below = leaves_below(dims, ladder.size());
-  const BoundTerms bt = bound_terms(*a.kernel);
-  const double safety = 1.0 - 1e-12;  // absorbs bound-side rounding
-
   std::vector<std::size_t> rung(dims, 0);
-  std::vector<double> pattern(dims + 1, 1.0);
-  // alive[d]: lanes still feasible at the current depth-d prefix. Lane
-  // taus ascend, so a lane cut at rung r is infeasible for every deeper
+  std::vector<double> pattern(dims + 1, 1.0);  // prefix prod (N_j + 1)
+  // alive[d]: lanes still feasible at the current depth-d prefix. The
+  // ladder ascends, so a lane cut at rung r is infeasible for every later
   // rung too — it leaves depth d for good, credited for all remaining
-  // rungs exactly as its own scalar walk would have been.
+  // rungs exactly as its own one-lane walk would have been.
   std::vector<LaneMask> alive(dims + 1, 0);
-  alive[0] = static_cast<LaneMask>((1u << a.nlanes) - 1u);
+  alive[0] = static_cast<LaneMask>((1u << b.nlanes) - 1u);
   std::size_t d = 0;
   while (true) {
     if (rung[d] == ladder.size()) {  // depth exhausted: ascend
@@ -256,13 +298,12 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
     const int n = ladder[rung[d]];
     const double p = pattern[d] * (n + 1);
     LaneMask feas = alive[d];
-    for (int l = 0; l < a.nlanes; ++l) {
-      const auto bit = static_cast<LaneMask>(1u << l);
-      if ((feas & bit) != 0 && a.taus[l] * p > a.base_time) {
-        a.slots[l].pruned_feas += (ladder.size() - rung[d]) * below[d];
-        feas = static_cast<LaneMask>(feas & ~bit);
+    for_each_lane(alive[d], [&](int l) {
+      if (b.taus[l] * p > base_time) {
+        b.slots[l].pruned_feas += (ladder.size() - rung[d]) * below[d];
+        feas = static_cast<LaneMask>(feas & ~(1u << l));
       }
-    }
+    });
     alive[d] = feas;
     if (feas == 0) {  // every lane exhausted this depth: ascend
       if (d == 0) return;
@@ -271,62 +312,15 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
       continue;
     }
     counts[d] = n;
-    for (int l = 0; l < a.nlanes; ++l) {
-      if ((feas & (1u << l)) != 0) {
-        cursors[l].push_stage(static_cast<int>(d), n);
-      }
-    }
+    for_each_lane(feas, [&](int l) { lanes.push(l, static_cast<int>(d), n); });
     pattern[d + 1] = p;
 
-    // Admissible bound at the just-entered stage e: lanes whose whole
-    // subtree provably cannot beat the incumbent skip it. A dead lane's
-    // stage tau is +inf, so its bound is +inf (or NaN, which the quiet
-    // v8_gt leaves unpruned) — either way no finite-valued subtree is
-    // ever cut incorrectly.
-    LaneMask next = feas;
-    const double inc = a.incumbent->load(std::memory_order_relaxed);
-    if (inc < kInf) {
-      const int e = static_cast<int>(d) + 1;
-      Vec8d tau_e = math::v8_splat(0.0);
-      Vec8d gamma = math::v8_splat(0.0);
-      Vec8d gamma_e = math::v8_splat(0.0);
-      for (int l = 0; l < a.nlanes; ++l) {
-        if ((feas & (1u << l)) != 0) {
-          tau_e.lane[l] = cursors[l].stage_tau(e);
-          gamma.lane[l] = cursors[l].stage_gamma(e);
-          gamma_e.lane[l] = cursors[l].stage_gamma_e(e);
-        }
-      }
-      // occ_e = T_B / (tau0 * P_e); LB = occ_e * (tau_e + gamma_e E_e
-      // + gamma_e R_e) + T_B * tail_half[e] * tau_e.
-      const Vec8d occ =
-          math::v8_div(math::v8_splat(a.base_time / p), tau0v);
-      const Vec8d core =
-          math::v8_fma(gamma, math::v8_splat(bt.restart_cost[e]),
-                       math::v8_add(tau_e, gamma_e));
-      const Vec8d lb = math::v8_fma(
-          occ, core,
-          math::v8_mul(math::v8_splat(a.base_time * bt.tail_half[e]),
-                       tau_e));
-      const LaneMask cut = static_cast<LaneMask>(
-          math::v8_gt(math::v8_mul(lb, math::v8_splat(safety)), inc) &
-          feas);
-      if (cut != 0) {
-        for (int l = 0; l < a.nlanes; ++l) {
-          if ((cut & (1u << l)) != 0) {
-            a.slots[l].pruned_bound += below[d];
-          }
-        }
-        next = static_cast<LaneMask>(feas & ~cut);
-      }
-    }
+    const LaneMask cut = lanes.cut(static_cast<int>(d) + 1, p, feas);
+    for_each_lane(cut, [&](int l) { b.slots[l].pruned_bound += below[d]; });
+    const auto next = static_cast<LaneMask>(feas & ~cut);
 
     if (d + 1 == dims) {
-      for (int l = 0; l < a.nlanes; ++l) {
-        if ((next & (1u << l)) != 0) {
-          consider(l, cursors[l].finish_expected_time(p));
-        }
-      }
+      for_each_lane(next, [&](int l) { consider(l, p); });
       ++rung[d];
     } else {
       if (next == 0) {
@@ -341,12 +335,14 @@ void lane_sweep(const LaneSweepArgs& a, std::vector<int>& counts) {
 }
 
 /// The plan space of one search: the candidate level subsets in search
-/// order, the count ladder, and the log-spaced tau0 grid. A coarse pass
-/// writes one Slot per (subset, tau0) pair, subset-major.
+/// order, the count ladder, the log-spaced tau0 grid, and the bound T_B on
+/// tau0 * prod(N + 1). A coarse pass writes one Slot per (subset, tau0)
+/// pair, subset-major.
 struct Lattice {
   std::vector<std::vector<int>> subsets;
   std::vector<int> ladder;
   std::vector<double> taus;
+  double base_time = 0.0;
 };
 
 Lattice make_lattice(const systems::SystemConfig& system,
@@ -366,10 +362,64 @@ Lattice make_lattice(const systems::SystemConfig& system,
       lat.subsets.push_back(std::move(levels));
     }
   }
+  lat.base_time = system.base_time;
   lat.ladder = count_ladder(options.max_count);
   lat.taus = log_grid(options.tau_min, system.base_time * (1.0 - 1e-9),
                       options.coarse_tau_points);
   return lat;
+}
+
+/// The coarse pass of both searches: @p width (1..kLanes) neighbouring
+/// tau0 points of one level subset form a Block, walked by lane_sweep
+/// with the evaluator that @p make_lanes(subset index, block) returns,
+/// writing one Slot per (subset, tau0) pair, subset-major. Tasks run
+/// jointly over (subset, block), so even 2-level systems expose
+/// subsets x blocks units of work. Slots, the winner and, without an
+/// incumbent, the accounting are independent of the width, the task
+/// order and the thread count.
+template <typename MakeLanes>
+std::vector<Slot> coarse_pass(const Lattice& lat,
+                              const OptimizerOptions& options,
+                              util::ThreadPool* pool, std::size_t width,
+                              const MakeLanes& make_lanes) {
+  const std::size_t nt = lat.taus.size();
+  std::vector<Slot> slot(lat.subsets.size() * nt);
+  obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
+  const std::size_t blocks = (nt + width - 1) / width;
+  // Strided block order: early tasks sample tau0 blocks spread across
+  // the whole grid, so a per-subset incumbent is near-optimal after
+  // ~sqrt(blocks) tasks instead of only once an ascending sweep reaches
+  // the optimum's neighborhood. One-point tasks (a pooled walk that never
+  // cuts) keep grid order, which queues the heaviest, smallest-tau0 tasks
+  // first.
+  std::vector<std::size_t> order;
+  order.reserve(blocks);
+  const auto stride =
+      width == 1 ? std::size_t{1}
+                 : std::max<std::size_t>(
+                       1, static_cast<std::size_t>(std::lround(
+                              std::sqrt(static_cast<double>(blocks)))));
+  for (std::size_t s = 0; s < stride; ++s) {
+    for (std::size_t b = s; b < blocks; b += stride) order.push_back(b);
+  }
+  util::parallel_for(pool, lat.subsets.size() * blocks, [&](std::size_t idx) {
+    obs::Span span(options.trace, "optimizer.sweep_block", "optimizer");
+    const std::size_t si = idx / blocks;
+    const std::size_t first = order[idx % blocks] * width;
+    Block b;
+    b.nlanes = static_cast<int>(std::min(width, nt - first));
+    for (int l = 0; l < b.nlanes; ++l) {
+      b.taus[static_cast<std::size_t>(l)] =
+          lat.taus[first + static_cast<std::size_t>(l)];
+    }
+    auto lanes = make_lanes(si, b);
+    lane_sweep(lanes, b, lat.ladder, lat.base_time);
+    for (int l = 0; l < b.nlanes; ++l) {
+      slot[si * nt + first + static_cast<std::size_t>(l)] =
+          std::move(b.slots[static_cast<std::size_t>(l)]);
+    }
+  });
+  return slot;
 }
 
 /// The shared tail of both searches: reduces the coarse-pass slots,
@@ -537,21 +587,17 @@ OptimizationResult optimize_intervals(const ExecutionTimeModel& model,
                                       const OptimizerOptions& options,
                                       util::ThreadPool* pool) {
   const Lattice lat = make_lattice(system, options);
-  const std::size_t nt = lat.taus.size();
-  std::vector<Slot> slot(lat.subsets.size() * nt);
-  {
-    // One independent task per (subset, tau0) pair, so systems with few
-    // interior dims still expose many units of parallelism.
-    obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
-    util::parallel_for(pool, slot.size(), [&](std::size_t idx) {
-      obs::Span span(options.trace, "optimizer.sweep_slice", "optimizer");
-      CheckpointPlan plan;
-      plan.tau0 = lat.taus[idx % nt];
-      plan.levels = lat.subsets[idx / nt];
-      plan.counts.assign(plan.levels.size() - 1, 0);
-      sweep_slice(model, system, lat.ladder, plan, slot[idx]);
-    });
-  }
+  // A walk that never cuts shares nothing across lanes but the lattice
+  // bookkeeping, so on a pool it takes one tau0 point per task: small-tau0
+  // points hold most of the feasible leaves, and a 3-dim search split
+  // into 12 eight-point tasks left 4 workers waiting on the heaviest few
+  // (measured: mlck optimize --technique=moody, ~10% slower wall time at
+  // equal CPU time). The width changes no result.
+  const std::size_t width = pool != nullptr && pool->size() > 1 ? 1 : kLanes;
+  std::vector<Slot> slot = coarse_pass(
+      lat, options, pool, width, [&](std::size_t si, const Block& b) {
+        return ModelLanes(model, system, lat.subsets[si], b.taus.data());
+      });
   return refine_and_select(
       lat, slot,
       [&](std::size_t, const CheckpointPlan& plan) {
@@ -568,52 +614,17 @@ OptimizationResult optimize_intervals_staged(
   kernel.reserve(lat.subsets.size());
   for (const auto& levels : lat.subsets) kernel.push_back(&factory(levels));
 
-  // Coarse pass: eight consecutive tau0 slices form one lane-sweep task
-  // (still one slot per slice), and a per-subset incumbent lets the
-  // admissible bound cut subtrees across tasks. The incumbent is per
-  // *subset*, not global: a globally-pruned subset could otherwise hand
-  // refinement a different starting candidate and change the returned
-  // winner; per-subset, the subset's own optimum can never be cut, so
-  // every refinement start — and hence the winner — is preserved exactly.
-  const std::size_t nt = lat.taus.size();
-  std::vector<Slot> slot(lat.subsets.size() * nt);
-  {
-    obs::Span coarse(options.trace, "optimizer.coarse_sweep", "optimizer");
-    std::vector<std::atomic<double>> incumbent(lat.subsets.size());
-    for (auto& inc : incumbent) inc.store(kInf, std::memory_order_relaxed);
-    const std::size_t blocks =
-        (nt + kSimdLanes - 1) / static_cast<std::size_t>(kSimdLanes);
-    // Strided block order: early tasks sample tau0 blocks spread across
-    // the whole grid, so each subset owns a near-optimal incumbent after
-    // ~sqrt(blocks) tasks instead of only once the ascending sweep
-    // reaches the optimum's neighborhood. Execution order only — slots,
-    // accounting, and the winner are order-independent.
-    std::vector<std::size_t> order;
-    order.reserve(blocks);
-    const auto stride = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::lround(std::sqrt(static_cast<double>(blocks)))));
-    for (std::size_t s = 0; s < stride; ++s) {
-      for (std::size_t b = s; b < blocks; b += stride) order.push_back(b);
-    }
-    util::parallel_for(pool, lat.subsets.size() * blocks,
-                       [&](std::size_t idx) {
-      obs::Span span(options.trace, "optimizer.sweep_block", "optimizer");
-      const std::size_t si = idx / blocks;
-      const std::size_t t0 = order[idx % blocks] * kSimdLanes;
-      std::vector<int> counts(lat.subsets[si].size() - 1, 0);
-      LaneSweepArgs args;
-      args.kernel = kernel[si];
-      args.taus = lat.taus.data() + t0;
-      args.nlanes =
-          static_cast<int>(std::min<std::size_t>(kSimdLanes, nt - t0));
-      args.base_time = system.base_time;
-      args.ladder = &lat.ladder;
-      args.incumbent = &incumbent[si];
-      args.slots = slot.data() + si * nt + t0;
-      lane_sweep(args, counts);
-    });
-  }
+  // The incumbent is per *subset*, not global: a globally-pruned subset
+  // could otherwise hand refinement a different starting candidate and
+  // change the returned winner; per-subset, the subset's own optimum can
+  // never be cut, so every refinement start — and hence the winner — is
+  // preserved exactly.
+  std::vector<std::atomic<double>> incumbent(lat.subsets.size());
+  for (auto& inc : incumbent) inc.store(kInf, std::memory_order_relaxed);
+  std::vector<Slot> slot = coarse_pass(
+      lat, options, pool, kLanes, [&](std::size_t si, const Block& b) {
+        return KernelLanes(*kernel[si], b, system.base_time, incumbent[si]);
+      });
   return refine_and_select(
       lat, slot,
       [&](std::size_t si, const CheckpointPlan& plan) {

@@ -63,9 +63,9 @@ struct OptimizerOptions {
   OptimizerMetrics* metrics = nullptr;
 
   /// Observe-only span sink for the search phases ("optimizer.coarse_sweep",
-  /// "optimizer.sweep_slice" (per-plan overload) / "optimizer.sweep_block"
-  /// (staged search), "optimizer.refine"; docs/OBSERVABILITY.md). Same contract as metrics: non-owning, null
-  /// skips all instrumentation, results are bit-identical either way.
+  /// "optimizer.sweep_block", "optimizer.refine"; docs/OBSERVABILITY.md).
+  /// Same contract as metrics: non-owning, null skips all instrumentation,
+  /// results are bit-identical either way.
   obs::TraceSink* trace = nullptr;
 
   /// Rejects option combinations the search cannot serve, naming the
@@ -95,13 +95,16 @@ struct OptimizationResult {
 
 /// Minimizes model.expected_time over the bounded plan space for
 /// @p system, one virtual call per candidate plan: the search for models
-/// without a kernel (Moody, Di, energy) and the exact reference the staged
-/// search is tested against. The returned plan is feasible (finite expected time);
-/// throws std::runtime_error if no candidate is feasible.
+/// without a kernel (Moody, the energy objectives) and the exact
+/// reference the staged search is tested against (src/verify, the tests).
+/// It runs optimize_intervals_staged's lattice walk over 8-lane tau0
+/// blocks (one tau0 point per task on a pool) and never cuts on a bound.
+/// The returned plan is feasible (finite expected time); throws
+/// std::runtime_error if no candidate is feasible.
 ///
 /// @p pool parallelizes the coarse sweep jointly across (level subset,
-/// tau0) slices — so even 2-level systems expose subsets x tau-points
-/// units of work; results are identical with or without a pool.
+/// tau0 block) tasks; results, evaluation counts included, are identical
+/// with or without a pool.
 OptimizationResult optimize_intervals(const ExecutionTimeModel& model,
                                       const systems::SystemConfig& system,
                                       const OptimizerOptions& options = {},

@@ -1,7 +1,5 @@
 #include "engine/evaluation.h"
 
-#include "util/parallel.h"
-
 namespace mlck::engine {
 
 EvaluationEngine::EvaluationEngine(systems::SystemConfig system,
@@ -80,22 +78,6 @@ core::OptimizationResult EvaluationEngine::optimize(
     metrics_.evaluations->add(result.evaluations);
   }
   return result;
-}
-
-std::vector<double> EvaluationEngine::expected_times(
-    std::span<const core::CheckpointPlan> plans, util::ThreadPool* pool) const {
-  // Materialize every needed context serially first so the parallel phase
-  // never contends on the build mutex.
-  std::vector<const EvaluationContext*> ctx(plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    ctx[i] = &context(plans[i].levels);
-  }
-  std::vector<double> out(plans.size());
-  util::parallel_for(pool, plans.size(), [&](std::size_t i) {
-    out[i] = ctx[i]->kernel.expected_time(plans[i].tau0, plans[i].counts);
-  });
-  if (metrics_.evaluations != nullptr) metrics_.evaluations->add(plans.size());
-  return out;
 }
 
 std::size_t EvaluationEngine::cached_contexts() const {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,21 +85,12 @@ class EvaluationEngine {
   /// Full forecast with breakdown; bit-identical to DauweModel::predict.
   core::Prediction predict(const core::CheckpointPlan& plan) const;
 
-  /// Interval search over the cached contexts, driven by the
-  /// prefix-incremental kernel cursor (core::optimize_intervals_staged):
-  /// same sweep, pruning, and refinement as core::optimize_intervals on a
-  /// DauweModel — identical plans, expected times, and evaluation counts
-  /// — but stage terms are computed once per count prefix instead of once
-  /// per enumerated plan.
+  /// Interval search over the cached contexts
+  /// (core::optimize_intervals_staged): the plan and expected time that
+  /// core::optimize_intervals selects on a DauweModel, bit for bit, with
+  /// stage terms computed once per count prefix and subtrees bound-pruned.
   core::OptimizationResult optimize(const core::OptimizerOptions& options = {},
                                     util::ThreadPool* pool = nullptr) const;
-
-  /// Batched sweep: expected time of every plan, evaluated over the
-  /// cached contexts in deterministic contiguous chunks on @p pool.
-  /// Results are independent of thread count and identical to calling
-  /// expected_time per plan.
-  std::vector<double> expected_times(std::span<const core::CheckpointPlan> plans,
-                                     util::ThreadPool* pool = nullptr) const;
 
   /// Number of level subsets cached so far (observability for tests and
   /// benchmarks).

@@ -74,13 +74,20 @@ struct UnitWeibull {
         a(1.0 + 1.0 / k),
         lgamma_a(std::lgamma(a)),
         inv_scale(std::exp(lgamma_a)) {
-    // Gamma(1 + 1/k) overflows for k below ~0.007: no unit-mean scale.
+    // Gamma(1 + 1/k) overflows for k below ~0.0059: no unit-mean scale.
     if (!(k > 0.0) || !std::isfinite(inv_scale)) {
       throw std::invalid_argument("Weibull: shape and scale must be > 0");
     }
   }
 
-  double z(double x) const noexcept { return std::pow(x * inv_scale, shape); }
+  /// Below k ~ 0.007, Gamma(1+1/k) is large enough that x * inv_scale
+  /// overflows on long windows while z itself is finite, so that product
+  /// falls back to log form; every finite product keeps the direct pow.
+  double z(double x) const noexcept {
+    const double y = x * inv_scale;
+    if (std::isfinite(y)) return std::pow(y, shape);
+    return std::exp(shape * (std::log(x) + lgamma_a));
+  }
 
   double failure_probability(double x) const noexcept {
     return -std::expm1(-z(x));

@@ -1,7 +1,10 @@
 #include "models/di.h"
 
+#include <deque>
 #include <limits>
 #include <vector>
+
+#include "core/dauwe_kernel.h"
 
 namespace mlck::models {
 
@@ -40,13 +43,23 @@ core::TechniqueResult DiTechnique::do_select_plan(
     candidates.push_back({top});
   }
 
+  // Di is the Dauwe recursion with failure-free checkpoints and restarts,
+  // so it runs the staged Dauwe search over kernels built with those
+  // options; the deque keeps every handed-out kernel in place.
+  std::deque<core::DauweKernel> kernels;
+  const auto factory =
+      [&](const std::vector<int>& levels) -> const core::DauweKernel& {
+    return kernels.emplace_back(system, levels, di_model_options());
+  };
+
   core::TechniqueResult best;
   best.technique = name();
   best.predicted_time = std::numeric_limits<double>::infinity();
   for (const auto& levels : candidates) {
     core::OptimizerOptions opts = optimizer_options_;
     opts.restrict_levels = levels;
-    const auto result = core::optimize_intervals(model_, system, opts, pool);
+    const auto result =
+        core::optimize_intervals_staged(factory, system, opts, pool);
     if (result.expected_time < best.predicted_time) {
       best.plan = result.plan;
       best.predicted_time = result.expected_time;

@@ -37,7 +37,9 @@ class DiModel : public core::ExecutionTimeModel {
 /// the top two (L-1, L) are used, lower severities all restarting from the
 /// level-(L-1) checkpoint (Sec. IV-C). Because the model accounts for the
 /// application's base time, the search also considers dropping the
-/// expensive top level (Sec. IV-F).
+/// expensive top level (Sec. IV-F). Each candidate is searched by
+/// core::optimize_intervals_staged over DiModel's kernel, which selects
+/// the plan core::optimize_intervals over DiModel would, bit for bit.
 class DiTechnique : public core::Technique {
  public:
   explicit DiTechnique(core::OptimizerOptions optimizer_options = {});
@@ -51,7 +53,6 @@ class DiTechnique : public core::Technique {
 
  private:
   core::OptimizerOptions optimizer_options_;
-  DiModel model_;
 };
 
 }  // namespace mlck::models

@@ -15,7 +15,6 @@ std::string attribution_counter(const std::string& span_name) {
   static const std::map<std::string, std::string> kJoin = {
       {"optimizer.coarse_sweep", "optimizer.plans_swept"},
       {"optimizer.sweep_block", "optimizer.plans_swept"},
-      {"optimizer.sweep_slice", "optimizer.plans_swept"},
       {"optimizer.refine", "optimizer.plans_refined"},
       {"engine.context_build", "engine.context_cache.misses"},
       {"scenario.select_plan", "engine.evaluations"},

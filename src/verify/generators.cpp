@@ -42,12 +42,13 @@ VerifyLaw lognormal_verify_law(double sigma) {
 
 std::vector<VerifyLaw> all_verify_laws() {
   // Small Weibull shapes move the oracle's first-moment mass far from
-  // u = 1 (to u ~ 1/k). 0.007 is the admission limit math/failure_law.cpp
-  // states for UnitWeibull; below it the library's scale product
-  // overflows before the oracle's (docs/TESTING.md).
+  // u = 1 (to u ~ 1/k). Below ~0.007 the library's x * Gamma(1 + 1/k)
+  // product overflows on long windows and z falls back to log form;
+  // 0.0065 keeps that branch covered, just above the ~0.0059 admission
+  // limit where Gamma itself overflows (docs/TESTING.md).
   return {exponential_verify_law(), weibull_verify_law(0.7),
           weibull_verify_law(0.02), weibull_verify_law(0.007),
-          lognormal_verify_law(1.0)};
+          weibull_verify_law(0.0065), lognormal_verify_law(1.0)};
 }
 
 systems::SystemConfig random_system(util::Rng& rng,

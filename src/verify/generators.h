@@ -37,7 +37,7 @@ VerifyLaw exponential_verify_law();
 VerifyLaw weibull_verify_law(double shape);
 VerifyLaw lognormal_verify_law(double sigma);
 /// The `mlck selftest --laws=all` pool: exponential, Weibull(0.7),
-/// Weibull(0.02), Weibull(0.007) and log-normal(1.0).
+/// Weibull(0.02), Weibull(0.007), Weibull(0.0065) and log-normal(1.0).
 std::vector<VerifyLaw> all_verify_laws();
 
 /// Distribution bounds for the randomized verification generators. The

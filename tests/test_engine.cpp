@@ -306,27 +306,6 @@ TEST(Engine, ConcurrentExpectedTimeIsLockFreeAfterFirstBuildAndExact) {
   EXPECT_EQ(metrics.context_hits->value(), total_calls - distinct);
 }
 
-TEST(Engine, BatchedExpectedTimesMatchScalarAndAreThreadInvariant) {
-  const auto sys = systems::table1_system("D7");
-  const EvaluationEngine engine(sys);
-  const auto plans = random_plans(sys, 200, 1234);
-  const auto serial = engine.expected_times(plans);
-  util::ThreadPool pool(4);
-  const auto parallel = engine.expected_times(plans, &pool);
-  ASSERT_EQ(serial.size(), plans.size());
-  ASSERT_EQ(parallel.size(), plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    const double scalar = engine.expected_time(plans[i]);
-    if (std::isinf(scalar)) {
-      EXPECT_TRUE(std::isinf(serial[i]));
-      EXPECT_TRUE(std::isinf(parallel[i]));
-    } else {
-      EXPECT_EQ(serial[i], scalar);
-      EXPECT_EQ(parallel[i], scalar);
-    }
-  }
-}
-
 TEST(Engine, RejectsInvalidSystem) {
   systems::SystemConfig bad;  // no levels
   EXPECT_THROW(EvaluationEngine{bad}, std::invalid_argument);

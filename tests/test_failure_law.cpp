@@ -167,7 +167,7 @@ TEST(FailureLaw, ConventionsHoldFromEmptyToOverflowingWindows) {
     EXPECT_EQ(p->expected_retries(1e300),
               std::numeric_limits<double>::infinity());
   }
-  // Below shape ~0.007, Gamma(1 + 1/k) overflows: no unit-mean scale.
+  // Below shape ~0.0059, Gamma(1 + 1/k) overflows: no unit-mean scale.
   EXPECT_THROW(FailureLaw::weibull(0.001), std::invalid_argument);
   EXPECT_THROW(FailureLaw::lognormal(0.0), std::invalid_argument);
 }

@@ -6,7 +6,6 @@
 
 #include "math/exponential.h"
 #include "math/retry.h"
-#include "math/simd.h"
 
 namespace mlck::math {
 namespace {
@@ -142,86 +141,6 @@ TEST(ExpectedRetries, ScalesLinearlyWithCount) {
 TEST(ExpectedRetries, DivergesForHopelessOperations) {
   // An operation lasting 1000 MTBFs essentially never completes.
   EXPECT_TRUE(std::isinf(expected_retries(1000.0, 1.0)));
-}
-
-// ---------------------------------------------------------------------
-// simd.h — the 8-lane wrapper the pruned sweep's bound math runs on.
-// Whatever backend compiled in (AVX2, NEON, scalar), every op must
-// agree with plain scalar double arithmetic lane by lane; the sweep's
-// winner bit-identity contract depends on the *mask* semantics only,
-// but lane-exactness keeps the bound admissible on every backend.
-
-Vec8d iota(double scale, double offset) {
-  Vec8d v;
-  for (int l = 0; l < kSimdLanes; ++l) {
-    v.lane[l] = scale * static_cast<double>(l) + offset;
-  }
-  return v;
-}
-
-TEST(Simd, LanewiseOpsMatchScalarArithmeticExactly) {
-  const Vec8d a = iota(1.7, -3.2);
-  const Vec8d b = iota(-0.9, 5.5);
-  const Vec8d c = v8_splat(0.625);
-  const Vec8d sum = v8_add(a, b);
-  const Vec8d prod = v8_mul(a, b);
-  const Vec8d quot = v8_div(a, b);
-  const Vec8d fma = v8_fma(a, b, c);
-  for (int l = 0; l < kSimdLanes; ++l) {
-    EXPECT_EQ(sum.lane[l], a.lane[l] + b.lane[l]) << "lane " << l;
-    EXPECT_EQ(prod.lane[l], a.lane[l] * b.lane[l]) << "lane " << l;
-    EXPECT_EQ(quot.lane[l], a.lane[l] / b.lane[l]) << "lane " << l;
-    // FMA may legitimately fuse (one rounding); allow either contracted
-    // or unfused, but nothing else.
-    const double unfused = a.lane[l] * b.lane[l] + c.lane[l];
-    const double fused = std::fma(a.lane[l], b.lane[l], c.lane[l]);
-    EXPECT_TRUE(fma.lane[l] == unfused || fma.lane[l] == fused)
-        << "lane " << l;
-  }
-}
-
-TEST(Simd, SplatAndLoadFillEveryLane) {
-  const Vec8d s = v8_splat(42.5);
-  const double src[kSimdLanes] = {1, 2, 3, 4, 5, 6, 7, 8};
-  const Vec8d v = v8_load(src);
-  for (int l = 0; l < kSimdLanes; ++l) {
-    EXPECT_EQ(s.lane[l], 42.5);
-    EXPECT_EQ(v.lane[l], src[l]);
-  }
-}
-
-TEST(Simd, GreaterThanMaskSetsExactlyTheStrictLanes) {
-  Vec8d a = v8_splat(0.0);
-  Vec8d b = v8_splat(0.0);
-  a.lane[0] = 1.0;                  // >   -> set
-  a.lane[1] = -1.0;                 // <   -> clear
-  a.lane[2] = 0.0;                  // ==  -> clear (strict)
-  a.lane[3] = 7.0;  b.lane[3] = 7.0;  // == -> clear
-  a.lane[4] = 1e300;                // >   -> set
-  a.lane[5] = std::numeric_limits<double>::infinity();  // > -> set
-  a.lane[6] = -0.0;                 // -0 == +0 -> clear
-  a.lane[7] = 2.0;  b.lane[7] = 3.0;  // < -> clear
-  const LaneMask m = v8_gt(a, b);
-  EXPECT_EQ(m, LaneMask{0b00110001});
-  // The scalar-threshold overload agrees.
-  EXPECT_EQ(v8_gt(a, 0.0),
-            (LaneMask{0b00110001} | LaneMask{1u << 3} | LaneMask{1u << 7}));
-}
-
-TEST(Simd, GreaterThanIsNanQuiet) {
-  // The pruned sweep relies on NaN lanes never comparing greater: a
-  // dead lane whose bound degenerates to NaN must stay unpruned (it
-  // evaluates to +inf harmlessly) rather than cut a subtree it never
-  // actually bounded.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Vec8d a = v8_splat(5.0);
-  a.lane[2] = nan;
-  a.lane[6] = nan;
-  Vec8d b = v8_splat(1.0);
-  EXPECT_EQ(v8_gt(a, b), LaneMask{0b10111011});
-  b = v8_splat(nan);
-  EXPECT_EQ(v8_gt(a, b), LaneMask{0});
-  EXPECT_EQ(v8_gt(a, nan), LaneMask{0});
 }
 
 }  // namespace

@@ -112,6 +112,36 @@ TEST(DiTechnique, UsesTopTwoLevelsOnLargerSystems) {
   EXPECT_TRUE(two_level || penultimate_only) << result.plan.to_string();
 }
 
+TEST(DiTechnique, StagedSearchBitMatchesThePerPlanSearchOnAllSystems) {
+  // DiTechnique searches DiModel's kernel on the staged path; the
+  // per-plan search over DiModel, on the same two restricted candidates,
+  // is the exact reference.
+  const DiModel model;
+  const DiTechnique technique;
+  for (const auto& sys : systems::table1_systems()) {
+    SCOPED_TRACE(sys.name);
+    const int top = sys.levels() - 1;
+    const std::vector<std::vector<int>> candidates =
+        sys.levels() >= 2 ? std::vector<std::vector<int>>{{top - 1, top},
+                                                          {top - 1}}
+                          : std::vector<std::vector<int>>{{top}};
+    core::OptimizationResult reference;
+    reference.expected_time = std::numeric_limits<double>::infinity();
+    for (const auto& levels : candidates) {
+      core::OptimizerOptions opts;
+      opts.restrict_levels = levels;
+      const auto result = core::optimize_intervals(model, sys, opts);
+      if (result.expected_time < reference.expected_time) reference = result;
+    }
+    const auto selected = technique.select_plan(sys);
+    EXPECT_EQ(selected.plan.levels, reference.plan.levels);
+    EXPECT_EQ(selected.plan.tau0, reference.plan.tau0);
+    EXPECT_EQ(selected.plan.counts, reference.plan.counts);
+    EXPECT_EQ(selected.predicted_time, reference.expected_time);
+    EXPECT_EQ(selected.predicted_efficiency, reference.efficiency);
+  }
+}
+
 TEST(DiTechnique, UsesBothLevelsOfTwoLevelSystems) {
   const auto sys = systems::table1_system("D2");
   const DiTechnique technique;

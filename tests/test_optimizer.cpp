@@ -85,15 +85,33 @@ TEST(Optimizer, ResultIsFeasibleAndConsistent) {
 }
 
 TEST(Optimizer, DeterministicAcrossThreadCounts) {
+  // The per-plan walk keeps no incumbent, so its lattice accounting is
+  // thread-count independent too. The serial run walks 8-point tau0
+  // blocks and the pooled one single points; 45 points leave a partial
+  // last block.
   const auto sys = systems::table1_system("D5");
   const DauweModel model;
-  const auto serial = optimize_intervals(model, sys);
+  const std::size_t rungs = count_ladder(OptimizerOptions{}.max_count).size();
   util::ThreadPool pool(3);
-  const auto parallel = optimize_intervals(model, sys, {}, &pool);
-  EXPECT_DOUBLE_EQ(serial.expected_time, parallel.expected_time);
-  EXPECT_DOUBLE_EQ(serial.plan.tau0, parallel.plan.tau0);
-  EXPECT_EQ(serial.plan.counts, parallel.plan.counts);
-  EXPECT_EQ(serial.plan.levels, parallel.plan.levels);
+  for (const int tau_points : {96, 45}) {
+    SCOPED_TRACE(tau_points);
+    OptimizerOptions opts;
+    opts.coarse_tau_points = tau_points;
+    const auto serial = optimize_intervals(model, sys, opts);
+    const auto parallel = optimize_intervals(model, sys, opts, &pool);
+    EXPECT_DOUBLE_EQ(serial.expected_time, parallel.expected_time);
+    EXPECT_DOUBLE_EQ(serial.plan.tau0, parallel.plan.tau0);
+    EXPECT_EQ(serial.plan.counts, parallel.plan.counts);
+    EXPECT_EQ(serial.plan.levels, parallel.plan.levels);
+    EXPECT_EQ(serial.evaluations, parallel.evaluations);
+    EXPECT_EQ(serial.coarse_evaluations, parallel.coarse_evaluations);
+    EXPECT_EQ(serial.pruned_feasibility, parallel.pruned_feasibility);
+    EXPECT_EQ(parallel.pruned_bound, 0u);
+    // D5 has two levels: subsets {0, 1} (one count dim) and {0}.
+    const auto points = static_cast<std::size_t>(tau_points);
+    EXPECT_EQ(parallel.coarse_evaluations + parallel.pruned_feasibility,
+              points * rungs + points);
+  }
 }
 
 TEST(Optimizer, RestrictLevelsHonored) {

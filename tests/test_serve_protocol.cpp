@@ -14,7 +14,6 @@
 
 #include "prop_support.h"
 #include "serve/client.h"
-#include "serve/fingerprint.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/json.h"
@@ -135,14 +134,6 @@ TEST(ServeProtocol, ReadFrameRoundTripsAPayload) {
   ASSERT_EQ(serve::read_frame(pipe.fds[0], payload),
             serve::FrameStatus::kOk);
   EXPECT_EQ(payload, "{\"op\":\"ping\"}");
-}
-
-TEST(ServeProtocol, FingerprintMatchesFnv1aReference) {
-  // FNV-1a 64 reference values (offset basis, and the classic "a").
-  EXPECT_EQ(serve::fnv1a64(""), 0xcbf29ce484222325ull);
-  EXPECT_EQ(serve::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(serve::fingerprint_hex(""), "cbf29ce484222325");
-  EXPECT_EQ(serve::fingerprint_hex("a"), "af63dc4c8601ec8c");
 }
 
 /// Sends one raw ping and expects a well-formed pong on the same

@@ -349,6 +349,22 @@ TEST(Selftest, SmallRunPassesAndCountsEveryPhase) {
   EXPECT_NE(log.str().find("selftest"), std::string::npos);
 }
 
+TEST(Selftest, WeibullBelowTheScaleProductOverflowStaysFinite) {
+  // Under shape ~0.007, x * Gamma(1 + 1/k) overflows on long windows
+  // while z = (x / s)^k is finite; the model must keep pricing those
+  // plans finite (the oracle gives ~1e46 min) instead of +inf.
+  SelftestOptions options;
+  options.cases = 100;
+  options.seed = 42;
+  options.welch_systems = 0;
+  options.laws_flag = "weibull:shape=0.0065";
+  options.generator.laws = {weibull_verify_law(0.0065)};
+  std::ostringstream log;
+  const SelftestReport report = run_selftest(options, nullptr, &log);
+  EXPECT_EQ(report.cases_run, 100u);
+  EXPECT_TRUE(report.passed()) << log.str();
+}
+
 TEST(Selftest, OnlyCaseReplaysExactlyOneCase) {
   SelftestOptions options;
   options.cases = 50;
