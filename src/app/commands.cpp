@@ -454,6 +454,7 @@ int cmd_energy(const Cli& cli, std::ostream& out, std::ostream&) {
   const auto seed = cli.get_u64("seed");
   const core::DauweModel base({}, spec.distribution.family());
   const auto law = engine::sampling_law(spec);
+  util::ThreadPool pool(pool_width(0));
 
   Table table({"objective", "plan", "sim eff", "sim energy/run"});
   struct Variant {
@@ -465,10 +466,10 @@ int cmd_energy(const Cli& cli, std::ostream& out, std::ostream&) {
         Variant{"energy", energy::Objective::kEnergy},
         Variant{"EDP", energy::Objective::kEdp}}) {
     const energy::EnergyObjectiveModel objective(base, power, v.objective);
-    const auto best = core::optimize_intervals(objective, system);
+    const auto best = core::optimize_intervals(objective, system, {}, &pool);
     const auto stats = sim::run_trials(
         system, sim::CompiledSchedule::from_plan(system, best.plan),
-        law.get(), trials, seed);
+        law.get(), trials, seed, {}, &pool);
     sim::SimBreakdown shares = stats.time_shares;
     table.add_row({v.label, best.plan.to_string(),
                    Table::pct(stats.efficiency.mean),

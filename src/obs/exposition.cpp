@@ -12,14 +12,6 @@ namespace mlck::obs {
 
 namespace {
 
-/// Shortest round-trip-safe decimal for a double (mirrors util::Json's
-/// number formatting so the two expositions agree on values).
-std::string format_double(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 std::string format_uint(std::uint64_t value) {
   char buffer[24];
   std::snprintf(buffer, sizeof(buffer), "%" PRIu64, value);
@@ -63,7 +55,7 @@ std::string openmetrics_text(const RegistrySnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     const std::string om = openmetrics_name(name);
     out += "# TYPE " + om + " gauge\n";
-    out += om + " " + format_double(value) + "\n";
+    out += om + " " + util::format_g17(value) + "\n";
   }
   for (const auto& [name, h] : snapshot.histograms) {
     const std::string om = openmetrics_name(name);
@@ -72,11 +64,11 @@ std::string openmetrics_text(const RegistrySnapshot& snapshot) {
     for (const auto& [le, in_bucket] : h.buckets) {
       cumulative += in_bucket;
       if (!std::isfinite(le)) continue;  // folded into +Inf below
-      out += om + "_bucket{le=\"" + format_double(le) + "\"} " +
+      out += om + "_bucket{le=\"" + util::format_g17(le) + "\"} " +
              format_uint(cumulative) + "\n";
     }
     out += om + "_bucket{le=\"+Inf\"} " + format_uint(h.count) + "\n";
-    out += om + "_sum " + format_double(h.sum) + "\n";
+    out += om + "_sum " + util::format_g17(h.sum) + "\n";
     out += om + "_count " + format_uint(h.count) + "\n";
   }
   out += "# EOF\n";

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -190,16 +189,6 @@ std::string trace_jsonl(const TraceSink* host,
 
 // ---- Trace auditor -------------------------------------------------------
 
-namespace {
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 TraceAuditReport audit_trial_trace(const systems::SystemConfig& system,
                                    const sim::TrialResult& result,
                                    const std::vector<sim::TraceEvent>& events) {
@@ -216,22 +205,26 @@ TraceAuditReport audit_trial_trace(const systems::SystemConfig& system,
 
   // --- Tiling: events cover [0, total_time] with no gaps or overlaps. ---
   if (events.front().start != 0.0) {
-    fail("first event starts at " + fmt(events.front().start) + ", not 0");
+    fail("first event starts at " + util::format_g17(events.front().start) +
+         ", not 0");
   }
   for (std::size_t i = 0; i < events.size(); ++i) {
     const sim::TraceEvent& ev = events[i];
     if (ev.end < ev.start) {
       fail("event " + std::to_string(i) + " runs backwards: [" +
-           fmt(ev.start) + ", " + fmt(ev.end) + "]");
+           util::format_g17(ev.start) + ", " + util::format_g17(ev.end) +
+           "]");
     }
     if (i > 0 && ev.start != events[i - 1].end) {
-      fail("event " + std::to_string(i) + " starts at " + fmt(ev.start) +
-           " but the previous event ended at " + fmt(events[i - 1].end));
+      fail("event " + std::to_string(i) + " starts at " +
+           util::format_g17(ev.start) + " but the previous event ended at " +
+           util::format_g17(events[i - 1].end));
     }
   }
   if (events.back().end != result.total_time) {
-    fail("last event ends at " + fmt(events.back().end) +
-         " but the trial reports total_time " + fmt(result.total_time));
+    fail("last event ends at " + util::format_g17(events.back().end) +
+         " but the trial reports total_time " +
+         util::format_g17(result.total_time));
   }
 
   // --- Replay: rebuild the breakdown from the stream alone. The replay
@@ -344,12 +337,12 @@ TraceAuditReport audit_trial_trace(const systems::SystemConfig& system,
         if (elapsed != 0.0) {
           fail("event " + std::to_string(i) +
                " scratch restart should be instantaneous, spans " +
-               fmt(elapsed));
+               util::format_g17(elapsed));
         }
         if (ev.work != 0.0) {
           fail("event " + std::to_string(i) +
                " scratch restart should reset committed work to 0, has " +
-               fmt(ev.work));
+               util::format_g17(ev.work));
         }
         break;
       }
@@ -363,8 +356,9 @@ TraceAuditReport audit_trial_trace(const systems::SystemConfig& system,
   const auto check_bucket = [&fail](const char* name, double got,
                                     double want) {
     if (got != want) {
-      fail(std::string("reconstructed ") + name + " = " + fmt(got) +
-           " differs from SimBreakdown's " + fmt(want));
+      fail(std::string("reconstructed ") + name + " = " +
+           util::format_g17(got) + " differs from SimBreakdown's " +
+           util::format_g17(want));
     }
   };
   const sim::SimBreakdown& want = result.breakdown;

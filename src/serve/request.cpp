@@ -193,8 +193,12 @@ Request Request::parse(const Json& doc) {
 }
 
 std::string Request::canonical_key() const {
-  Json::Object body = spec.to_json().as_object();
-  body["system"] = core::to_json(spec.system);
+  Json doc = spec.to_json();
+  Json::Object& body = doc.make_object();
+  // to_json writes a Table I system by name; the key always inlines it.
+  if (Json& system = body["system"]; !system.is_object()) {
+    system = core::to_json(spec.system);
+  }
   if (op == Op::kOptimize || op == Op::kPredict) {
     // Scenario-only fields: two optimize requests differing only in
     // simulation controls must share one optimizer run.
@@ -204,10 +208,10 @@ std::string Request::canonical_key() const {
     body.erase("sim");
   }
   if (op == Op::kPredict) body["plan"] = core::to_json(plan);
-  Json::Object doc;
-  doc["op"] = Json(op_name(op));
-  doc["spec"] = Json(std::move(body));
-  return Json(std::move(doc)).dump();
+  Json::Object key;
+  key["op"] = Json(op_name(op));
+  key["spec"] = std::move(doc);
+  return Json(std::move(key)).dump();
 }
 
 util::Json evaluate(const Request& request, util::ThreadPool* pool,
@@ -261,11 +265,20 @@ util::Json evaluate(const Request& request, util::ThreadPool* pool,
 }
 
 std::string ok_response(const Json& id, Json result) {
-  Json::Object doc;
-  doc["id"] = id;
-  doc["ok"] = Json(true);
-  doc["result"] = std::move(result);
-  return Json(std::move(doc)).dump();
+  return ok_response_text(id, result.dump());
+}
+
+std::string ok_response_text(const Json& id, std::string_view result_text) {
+  // The members in key order, as Json{id, ok, result}.dump() writes them.
+  const std::string id_text = id.dump();
+  std::string out;
+  out.reserve(id_text.size() + result_text.size() + 30);
+  out += R"({"id":)";
+  out += id_text;
+  out += R"(,"ok":true,"result":)";
+  out += result_text;
+  out += '}';
+  return out;
 }
 
 std::string error_response(const Json& id, const std::string& code,

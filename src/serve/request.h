@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/plan.h"
 #include "engine/scenario.h"
@@ -91,8 +92,13 @@ util::Json evaluate(const Request& request, util::ThreadPool* pool = nullptr,
                     obs::MetricsRegistry* registry = nullptr);
 
 /// Serialized response envelopes (compact dump — the exact bytes that go
-/// on the wire and into the plan cache).
+/// on the wire). ok_response_text splices @p result_text, an already
+/// serialized result document, into the ok envelope without parsing it:
+/// the plan cache's hits and coalesced waiters answer through it, and
+/// ok_response is ok_response_text(id, result.dump()).
 std::string ok_response(const util::Json& id, util::Json result);
+std::string ok_response_text(const util::Json& id,
+                             std::string_view result_text);
 std::string error_response(const util::Json& id, const std::string& code,
                            const std::string& message);
 

@@ -240,13 +240,14 @@ std::string Server::handle_payload(const std::string& payload,
 
 std::string Server::handle_compute(Request request) {
   const std::string key = request.canonical_key();
-  const Json id = request.id;  // for the envelope; results are id-independent
 
   // Cache hits bypass admission entirely: a warm request succeeds even
-  // while draining, and replays the first computation's bytes.
+  // while draining, and splices the first computation's bytes into its
+  // own envelope (results are id-independent).
   if (const auto cached = cache_.get(key)) {
-    return ok_response(id, Json::parse(*cached));
+    return ok_response_text(request.id, *cached);
   }
+  const Json id = request.id;  // the request moves into the job below
 
   std::shared_ptr<Pending> pending;
   {
@@ -260,7 +261,7 @@ std::string Server::handle_compute(Request request) {
       // *before* retiring its key, so a request that missed the first
       // lookup while the job was finishing finds the answer here instead
       // of enqueueing a duplicate run.
-      return ok_response(id, Json::parse(*cached));
+      return ok_response_text(id, *cached);
     } else {
       if (draining_.load(std::memory_order_relaxed)) {
         metrics_.rejected_draining->add();
@@ -289,7 +290,7 @@ std::string Server::handle_compute(Request request) {
 
   std::unique_lock<std::mutex> wait_lock(pending->mutex);
   pending->cv.wait(wait_lock, [&pending] { return pending->done; });
-  if (pending->ok) return ok_response(id, pending->result);
+  if (pending->ok) return ok_response_text(id, pending->result_text);
   metrics_.errors->add();
   return error_response(id, pending->error_code, pending->error_message);
 }
@@ -324,21 +325,23 @@ void Server::executor_loop() {
     }
     metrics_.jobs_executed->add();
 
+    std::string text;
     if (ok) {
       // Only text the protocol can carry is cached or sent: a non-finite
       // number (an overflowed forecast, say) dumps as "inf", which no
-      // JSON parser — this daemon's cache replay included — accepts.
-      std::string text = result.dump();
+      // JSON parser accepts. The check parses once, here; hits and
+      // coalesced waiters splice the text without parsing it.
+      text = result.dump();
       try {
         (void)Json::parse(text);
-        cache_.put(job.key, std::move(text));
+        cache_.put(job.key, text);
       } catch (const util::JsonError&) {
         ok = false;
         code = "non_finite_result";
         message =
             "the result holds a non-finite number (e.g. an overflowed "
             "expected_time), which JSON cannot represent";
-        result = Json();
+        text.clear();
       }
     }
     {
@@ -347,18 +350,18 @@ void Server::executor_loop() {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       inflight_.erase(job.key);
     }
-    fulfill(*job.pending, ok, std::move(result), std::move(code),
+    fulfill(*job.pending, ok, std::move(text), std::move(code),
             std::move(message));
   }
 }
 
-void Server::fulfill(Pending& pending, bool ok, Json result, std::string code,
-                     std::string message) {
+void Server::fulfill(Pending& pending, bool ok, std::string result_text,
+                     std::string code, std::string message) {
   {
     std::lock_guard<std::mutex> lock(pending.mutex);
     pending.done = true;
     pending.ok = ok;
-    pending.result = std::move(result);
+    pending.result_text = std::move(result_text);
     pending.error_code = std::move(code);
     pending.error_message = std::move(message);
   }

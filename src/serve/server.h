@@ -84,7 +84,8 @@ struct ServerOptions {
 /// key — evaluate() is thread-count independent — and cached responses
 /// replay the first computation's bytes, so any two identical requests
 /// receive byte-identical result payloads, cold or warm, coalesced or
-/// not, daemon or direct call.
+/// not, daemon or direct call. Hits and coalesced waiters splice the
+/// stored result text into their envelope and never parse it.
 class Server {
  public:
   /// Binds the socket and starts the accept and executor threads; throws
@@ -133,7 +134,7 @@ class Server {
     std::condition_variable cv;
     bool done = false;
     bool ok = false;
-    util::Json result;         ///< valid when ok
+    std::string result_text;   ///< the serialized result, valid when ok
     std::string error_code;    ///< valid when !ok
     std::string error_message;
   };
@@ -157,7 +158,7 @@ class Server {
                              bool& stop_after_write);
   std::string handle_compute(Request request);
 
-  static void fulfill(Pending& pending, bool ok, util::Json result,
+  static void fulfill(Pending& pending, bool ok, std::string result_text,
                       std::string code, std::string message);
 
   ServerOptions options_;

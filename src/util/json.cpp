@@ -101,6 +101,12 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
+/// A string byte that JSON text carries as itself: no quote, backslash or
+/// control character.
+bool is_plain(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -211,14 +217,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote, escape or control char at once.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && is_plain(text_[pos_])) ++pos_;
+      out.append(text_.substr(run, pos_ - run));
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) fail("control char in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -307,9 +313,14 @@ class Parser {
   int depth_ = 0;
 };
 
-void dump_string(std::string& out, const std::string& s) {
+void dump_string(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // first byte of s not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (is_plain(c)) continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -318,33 +329,47 @@ void dump_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {  // the other control characters
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
+  out.append(s.substr(run));
   out += '"';
+}
+
+void append_g17(std::string& out, double value) {
+  // 17 significant digits fit in 24 characters: "-1.2345678901234567e-308".
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out.append(buf, end);
 }
 
 void dump_number(std::string& out, double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::abs(value) < 1e15) {
     // Integral values print without a fraction ("200", not "200.0").
-    out += std::to_string(static_cast<long long>(value));
+    char buf[24];
+    const auto end =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(value))
+            .ptr;
+    out.append(buf, end);
     return;
   }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
+  append_g17(out, value);
 }
 
 }  // namespace
+
+std::string format_g17(double value) {
+  std::string out;
+  append_g17(out, value);
+  return out;
+}
 
 Json Json::parse(std::string_view text) {
   Parser parser(text);

@@ -92,4 +92,11 @@ class Json {
   Object object_;
 };
 
+/// @p value exactly as printf's %g at precision 17 prints it
+/// ("0.10000000000000001", "1e+300", "inf", "-nan"), through
+/// std::to_chars. The one double formatter of the codebase: Json::dump
+/// prints non-integral numbers with it, and the metric expositions and
+/// the trace auditor print every double with it.
+std::string format_g17(double value);
+
 }  // namespace mlck::util

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "util/json.h"
 
 namespace mlck::util {
@@ -117,6 +124,45 @@ TEST(Json, DumpNumbers) {
   // Full precision survives a round trip.
   const double value = 1.9221704227164327;
   EXPECT_DOUBLE_EQ(Json::parse(Json(value).dump()).as_number(), value);
+}
+
+TEST(Json, DumpNumbersMatchPrintf17g) {
+  // format_g17 (std::to_chars) must print every double exactly as
+  // snprintf's 17-digit %g did before it: the plan cache, the goldens and
+  // the expositions all hold those bytes.
+  const auto printf_g17 = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN(), limits::denorm_min(),
+      -limits::denorm_min(), limits::min(), limits::max(), limits::lowest(),
+      1e15, -1e15, 1e15 + 0.5, 1e16, 1e17, 0.1, 1.0 / 3.0, 1e-4, 1e-5,
+      9.9999999999999995e-5, 12345678901234567.0, 0.5, 1.9221704227164327};
+  std::mt19937_64 bits(20180521);
+  for (int i = 0; i < 1'000'000; ++i) {
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string want = printf_g17(v);
+    if (format_g17(v) != want && ++mismatches <= 5) {
+      ADD_FAILURE() << want << " printed as " << format_g17(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+
+  // dump() prints integral values below 1e15 as integers and everything
+  // else through the same formatter.
+  EXPECT_EQ(Json(-0.0).dump(), "0");
+  EXPECT_EQ(Json(999999999999999.0).dump(), "999999999999999");
+  EXPECT_EQ(Json(1e15).dump(), printf_g17(1e15));
+  EXPECT_EQ(Json(1e300).dump(), printf_g17(1e300));
+  EXPECT_EQ(Json(limits::infinity()).dump(), "inf");
+  EXPECT_EQ(Json(-limits::quiet_NaN()).dump(), "-nan");
 }
 
 TEST(Json, DumpEscapesStrings) {

@@ -269,6 +269,101 @@ TEST(ServeE2E, NonFiniteResultIsANamedErrorAndNeverCached) {
   server.stop();
 }
 
+/// Request ids of every JSON type; "" leaves the member out.
+const char* kIds[] = {"",
+                      "null",
+                      "-3.25e-7",
+                      "17",
+                      "\"q\\\"uote \\\\ back \\u00e9 \xc3\xbc\"",
+                      R"({"tenant":"a","n":[1,2.5],"q":"\""})"};
+
+/// A fast predict whose key differs by @p tau0, carrying @p id.
+std::string predict_request(const std::string& id, double tau0) {
+  std::string text = R"({"op":"predict","system":"B",)";
+  if (!id.empty()) text += R"("id":)" + id + ",";
+  return text + R"("plan":{"tau0":)" + Json(tau0).dump() +
+         R"(,"levels":[0],"counts":[]}})";
+}
+
+TEST(ServeE2E, ColdHitAndCoalescedAnswersSpliceTheResultIntoEachEnvelope) {
+  // Cold answers and coalesced waiters get the executor's result text,
+  // hits the cached copy; each is spliced into the caller's own envelope
+  // and must match the direct path byte for byte, whatever the id holds.
+  obs::MetricsRegistry registry;
+  serve::ServerOptions options;
+  options.socket_path = test_socket("splice");
+  options.threads = 1;
+  options.registry = &registry;
+  serve::Server server(options);
+  const obs::Counter& hits = registry.counter("serve.plan_cache.hits");
+  const obs::Counter& coalesced = registry.counter("serve.coalesced");
+
+  // Cold, then a hit, per id.
+  {
+    serve::Client client(options.socket_path);
+    for (std::size_t i = 0; i < std::size(kIds); ++i) {
+      const std::string text =
+          predict_request(kIds[i], 30.0 + static_cast<double>(i));
+      SCOPED_TRACE(text);
+      const std::string expected = direct_response(text);
+      EXPECT_EQ(client.call_raw(text), expected);  // cold
+      const std::uint64_t hits_before = hits.value();
+      EXPECT_EQ(client.call_raw(text), expected);  // hit
+      EXPECT_EQ(hits.value(), hits_before + 1);
+    }
+  }
+  EXPECT_EQ(coalesced.value(), 0u);
+
+  // Coalesced: a long job (about 0.6 s of simulation in a Release build)
+  // holds the executor while each key's two first requests (different
+  // ids) arrive in parallel, so one queues and the other joins it.
+  const std::string blocker =
+      R"({"op":"scenario","spec":{"system":"D9","trials":10000,"optimizer":)"
+      R"({"coarse_tau_points":16,"max_count":8,"refine_rounds":8}}})";
+  const std::uint64_t executed =
+      registry.counter("serve.jobs_executed").value();
+  const obs::Counter& builds = registry.counter("engine.context_cache.misses");
+  const std::uint64_t builds_before = builds.value();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::thread blocker_client([&] {
+    serve::Client client(options.socket_path);
+    (void)client.call_raw(blocker);
+  });
+  while (builds.value() == builds_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (builds.value() == builds_before) {
+    blocker_client.join();
+    FAIL() << "the blocking job never started";
+  }
+  std::vector<std::string> texts, responses(2 * std::size(kIds));
+  for (std::size_t i = 0; i < std::size(kIds); ++i) {
+    const double tau0 = 90.0 + static_cast<double>(i);
+    texts.push_back(predict_request(kIds[i], tau0));
+    texts.push_back(predict_request(kIds[(i + 1) % std::size(kIds)], tau0));
+  }
+  std::vector<std::thread> clients;
+  for (std::size_t k = 0; k < texts.size(); ++k) {
+    clients.emplace_back([&, k] {
+      serve::Client client(options.socket_path);
+      responses[k] = client.call_raw(texts[k]);
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  blocker_client.join();
+  for (std::size_t k = 0; k < texts.size(); ++k) {
+    SCOPED_TRACE(texts[k]);
+    EXPECT_EQ(responses[k], direct_response(texts[k]));
+  }
+  EXPECT_EQ(coalesced.value(), std::size(kIds))
+      << "the blocking job finished before every pair was admitted";
+  EXPECT_EQ(registry.counter("serve.jobs_executed").value(),
+            executed + 1 + std::size(kIds));
+  server.stop();
+}
+
 /// Virtual address space of this process in KiB (VmSize in
 /// /proc/self/status). Every unjoined thread keeps its stack mapped, so
 /// this is where leaked connection threads show.
